@@ -104,10 +104,14 @@ def estimate_density(g: DensitySpec, w: complex, schedule: RadialSchedule | None
     return float(np.mean(last))
 
 
+# The decay-exponent fit takes the peak over this many equally spaced rays
+# per radius, each exponent to this absolute tolerance.
+_FIT_DIRECTIONS = 8
+_EXPONENT_TOL = 0.02
+
+
 def estimate_lipschitz_exponent(g: DensitySpec, w: complex,
-                                schedule: RadialSchedule | None = None,
-                                directions: int = 8,
-                                exponent_tol: float = 0.02) -> FitResult:
+                                schedule: RadialSchedule | None = None) -> FitResult:
     """Log-log slope of max_theta |E(w + r e^{i theta}, w)| against r.
 
     Requires the diagonal to diverge at w (so E(w,w) = 0 and the decay rate
@@ -121,13 +125,13 @@ def estimate_lipschitz_exponent(g: DensitySpec, w: complex,
     if not dm.divergent:
         raise PreconditionFailed(f"diagonal mass finite at w={w}")
     radii = schedule.radii()
-    angles = 2.0 * math.pi * np.arange(directions) / directions
+    angles = 2.0 * math.pi * np.arange(_FIT_DIRECTIONS) / _FIT_DIRECTIONS
     log_peaks = []
     for r in radii:
         best = -math.inf
         for th in angles:
             lam = w + float(r) * complex(math.cos(th), math.sin(th))
-            res = integrate_bi_singular(g, w, lam, exponent_tol)
+            res = integrate_bi_singular(g, w, lam, _EXPONENT_TOL)
             best = max(best, res.value.real)
         log_peaks.append(best)
     x = np.log(radii)

@@ -104,6 +104,24 @@ def _disc_pieces(g: DensitySpec):
     return pieces
 
 
+def _memoized(value_at: Callable[[complex], complex]) -> Callable:
+    """Vectorized wrapper calling value_at once per distinct point."""
+    memo: dict[complex, complex] = {}
+
+    def evaluate(pts):
+        pts = np.asarray(pts, dtype=complex)
+        flat = pts.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        for i, u in enumerate(flat):
+            key = complex(u)
+            if key not in memo:
+                memo[key] = value_at(key)
+            out[i] = memo[key]
+        return out.reshape(pts.shape)
+
+    return evaluate
+
+
 def make_transform(g: DensitySpec, tol: float = 1e-7) -> Callable:
     """Vectorized lam -> ĝ(lam); closed form for disc sums, memoized otherwise.
 
@@ -123,20 +141,7 @@ def make_transform(g: DensitySpec, tol: float = 1e-7) -> Callable:
 
         return closed
 
-    memo: dict[complex, complex] = {}
-
-    def by_quadrature(pts):
-        pts = np.asarray(pts, dtype=complex)
-        flat = pts.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for i, u in enumerate(flat):
-            key = complex(u)
-            if key not in memo:
-                memo[key] = cauchy_transform(g, key, tol).value
-            out[i] = memo[key]
-        return out.reshape(pts.shape)
-
-    return by_quadrature
+    return _memoized(lambda u: cauchy_transform(g, u, tol).value)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +240,8 @@ def make_h0_context(g: DensitySpec, tol: float = 1e-6) -> H0Context:
 
         transform = closed
     else:
-        memo: dict[complex, complex] = {}
-
-        def transform(pts):
-            pts = np.asarray(pts, dtype=complex)
-            flat = pts.ravel()
-            out = np.empty(flat.shape, dtype=complex)
-            for i, u in enumerate(flat):
-                key = complex(u)
-                if key not in memo:
-                    memo[key] = cauchy_transform(g, key, tol,
-                                                 multiplier=_inv_conj,
-                                                 attention=(0.0,)).value
-                out[i] = memo[key]
-            return out.reshape(pts.shape)
+        transform = _memoized(lambda u: cauchy_transform(
+            g, u, tol, multiplier=_inv_conj, attention=(0.0,)).value)
 
     return H0Context(g=g, C=complex(c_val), c_error=ct0.error_estimate,
                      transform=transform)
@@ -328,24 +321,11 @@ def _kernel_section(g: DensitySpec, w: complex, tol: float):
 
             return closed
 
-    memo: dict[complex, complex] = {}
-
-    def by_quadrature(pts):
-        pts = np.asarray(pts, dtype=complex)
-        flat = pts.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for i, u in enumerate(flat):
-            key = complex(u)
-            if key not in memo:
-                memo[key] = eval_E(g, key, complex(w), tol).value
-            out[i] = memo[key]
-        return out.reshape(pts.shape)
-
-    return by_quadrature
+    return _memoized(lambda u: eval_E(g, u, complex(w), tol).value)
 
 
 def check_representation(g: DensitySpec, w: complex, lam_points,
-                         tol: float = 1e-4, kernel_section=None) -> float:
+                         tol: float = 1e-4) -> float:
     """Max residual of E(lam,w) = 1 - (1/pi) ∫ E(u,w) g(u) / (conj(u-w)(u-lam)) dA.
 
     Verifies that w sits in a proven regime first: g vanishes near w, or the
@@ -356,7 +336,7 @@ def check_representation(g: DensitySpec, w: complex, lam_points,
     w = complex(w)
     if not _representation_regime_ok(g, w, tol):
         raise RegimeUnverified(f"no proven regime detected at w={w}")
-    section = kernel_section or _kernel_section(g, w, tol / 10.0)
+    section = _kernel_section(g, w, tol / 10.0)
     worst = 0.0
     for lam in lam_points:
         lam = complex(lam)
@@ -386,16 +366,20 @@ def _representation_regime_ok(g: DensitySpec, w: complex, tol: float) -> bool:
 # Distributional derivative spot-check
 
 
-def dbar_transform_stencil(g: DensitySpec, point: complex, spacing: float = 0.05,
+_STENCIL_SPACING = 0.05
+
+
+def dbar_transform_stencil(g: DensitySpec, point: complex,
                            tol: float = 1e-5) -> complex:
     """Centered finite-difference dbar of ĝ at an interior point.
 
-    dbar = (d/dx + i d/dy)/2 on a 5-point stencil; since -dbar ĝ = g in the
-    distributional sense, the result approximates -g(point) to O(spacing^2)
-    plus quadrature error wherever g is locally constant.
+    dbar = (d/dx + i d/dy)/2 on a 5-point stencil of spacing 0.05; since
+    -dbar ĝ = g in the distributional sense, the result approximates
+    -g(point) to O(spacing^2) plus quadrature error wherever g is locally
+    constant.
     """
     p = complex(point)
-    h = float(spacing)
+    h = _STENCIL_SPACING
     vals = {}
     for q in (h, -h, 1j * h, -1j * h):
         vals[q] = cauchy_transform(g, p + q, tol).value

@@ -52,6 +52,17 @@ class Mcg64:
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n deviates at once, bit-identical to n calls of uniform().
+
+        state_k = MULTIPLIER^k * state_0 mod 2^64: uint64 array products wrap
+        mod 2^64, so jump-ahead powers reproduce the stream exactly.
+        """
+        powers = np.multiply.accumulate(np.full(n, self.MULTIPLIER, dtype=np.uint64))
+        states = powers * np.array(self.state, dtype=np.uint64)
+        self.state = int(states[-1])
+        return (states >> np.uint64(11)) * 2.0 ** -53
+
 
 @dataclass(frozen=True)
 class GridLayer:
@@ -86,13 +97,7 @@ class GridLayer:
         iy = np.floor((im - self.origin_y) / self.spacing).astype(np.int64)
         ok = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
         out = np.zeros(np.shape(re), dtype=float)
-        vals = self.values[iy[ok], ix[ok]] if np.ndim(re) else None
-        if np.ndim(re):
-            out[ok] = vals
-        elif ok:
-            out = float(self.values[int(iy), int(ix)])
-        else:
-            out = 0.0
+        out[ok] = self.values[iy[ok], ix[ok]]
         return out
 
     def cell_mass(self, x0: float, x1: float, y0: float, y1: float) -> float:
@@ -140,10 +145,6 @@ class DensitySpec:
     support_radius: float
     terms: tuple[tuple[Region, float], ...]
     grid: GridLayer | None = None
-
-    @property
-    def regions(self) -> tuple[Region, ...]:
-        return tuple(r for r, _ in self.terms)
 
 
 def eval_density(g: DensitySpec, u) -> float | np.ndarray:
@@ -200,35 +201,25 @@ def clear_radius(g: DensitySpec, w: complex) -> float:
 
 
 def _stratified_points(g: DensitySpec, n: int, rng: Mcg64) -> np.ndarray:
-    """n x n jittered grid over the bounding box of the support disc and all regions."""
+    """n x n jittered grid over the bounding square of the support disc.
+
+    validate() has already checked that every region and the grid lie in the
+    support disc, so the square covers them too.  Point k = j*n + i takes
+    the deviates 2k (x jitter) and 2k+1 (y jitter) of the stream.
+    """
     cx, cy = g.support_center.real, g.support_center.imag
     x0 = cx - g.support_radius
     x1 = cx + g.support_radius
     y0 = cy - g.support_radius
     y1 = cy + g.support_radius
-    for region, _ in g.terms:
-        if isinstance(region, Disk):
-            x0, x1 = min(x0, region.cx - region.r), max(x1, region.cx + region.r)
-            y0, y1 = min(y0, region.cy - region.r), max(y1, region.cy + region.r)
-        elif isinstance(region, Annulus):
-            x0, x1 = min(x0, region.cx - region.r_outer), max(x1, region.cx + region.r_outer)
-            y0, y1 = min(y0, region.cy - region.r_outer), max(y1, region.cy + region.r_outer)
-        else:
-            x0, x1 = min(x0, region.x0), max(x1, region.x1)
-            y0, y1 = min(y0, region.y0), max(y1, region.y1)
-    if g.grid is not None:
-        bx0, bx1, by0, by1 = g.grid.bbox
-        x0, x1 = min(x0, bx0), max(x1, bx1)
-        y0, y1 = min(y0, by0), max(y1, by1)
     hx = (x1 - x0) / n
     hy = (y1 - y0) / n
-    pts = np.empty(n * n, dtype=complex)
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            pts[k] = complex(x0 + (i + rng.uniform()) * hx, y0 + (j + rng.uniform()) * hy)
-            k += 1
-    return pts
+    jitter = rng.uniforms(2 * n * n).reshape(n, n, 2)
+    idx = np.arange(n)
+    pts = np.empty((n, n), dtype=complex)
+    pts.real = x0 + (idx[None, :] + jitter[:, :, 0]) * hx
+    pts.imag = y0 + (idx[:, None] + jitter[:, :, 1]) * hy
+    return pts.ravel()
 
 
 def _boundary_band_points(region: Region, n: int, rng: Mcg64) -> np.ndarray:
@@ -262,7 +253,14 @@ def _boundary_band_points(region: Region, n: int, rng: Mcg64) -> np.ndarray:
     return pts
 
 
-def validate(g: DensitySpec, grid_n: int = 256, band_n: int = 64, seed: int = 1) -> DensitySpec:
+# Validation sample: a _GRID_N x _GRID_N stratified grid plus _BAND_N points
+# across each region boundary, from the Mcg64 stream of seed _VALIDATION_SEED.
+_GRID_N = 256
+_BAND_N = 64
+_VALIDATION_SEED = 1
+
+
+def validate(g: DensitySpec) -> DensitySpec:
     """Check structural constraints and the sampled range/support invariants.
 
     Raises DensityConfigError with the first offending point when a sample
@@ -303,10 +301,10 @@ def validate(g: DensitySpec, grid_n: int = 256, band_n: int = 64, seed: int = 1)
                 g.support_center.real, g.support_center.imag, g.support_radius):
             raise DensityConfigError("grid extends beyond the support disc")
 
-    rng = Mcg64(seed)
-    pts = [_stratified_points(g, grid_n, rng)]
+    rng = Mcg64(_VALIDATION_SEED)
+    pts = [_stratified_points(g, _GRID_N, rng)]
     for region, _ in g.terms:
-        pts.append(_boundary_band_points(region, band_n, rng))
+        pts.append(_boundary_band_points(region, _BAND_N, rng))
     pts = np.concatenate(pts)
     vals = eval_density(g, pts)
     d = np.abs(pts - g.support_center)
@@ -326,10 +324,10 @@ def validate(g: DensitySpec, grid_n: int = 256, band_n: int = 64, seed: int = 1)
 
 
 def make_density(support_center: complex, support_radius: float,
-                 terms, grid: GridLayer | None = None, **kw) -> DensitySpec:
+                 terms, grid: GridLayer | None = None) -> DensitySpec:
     spec = DensitySpec(complex(support_center), float(support_radius),
                        tuple((r, float(c)) for r, c in terms), grid)
-    return validate(spec, **kw)
+    return validate(spec)
 
 
 def unit_disc_density(coeff: float = 1.0) -> DensitySpec:
@@ -346,25 +344,28 @@ def annulus_density(center: complex, r_inner: float, r_outer: float,
                         [(Annulus(center.real, center.imag, r_inner, r_outer), coeff)])
 
 
-def swiss_cheese(seed: int, hole_count: int, radius_budget: float = 0.5,
-                 max_attempts: int = 200) -> DensitySpec:
+# Swiss-cheese holes: radius sum below _HOLE_RADIUS_BUDGET, and at most
+# _HOLE_ATTEMPTS candidate centres per hole.
+_HOLE_RADIUS_BUDGET = 0.5
+_HOLE_ATTEMPTS = 200
+
+
+def swiss_cheese(seed: int, hole_count: int) -> DensitySpec:
     """Unit disc with `hole_count` pairwise-disjoint holes removed.
 
-    Hole radii follow the geometric schedule budget * 2^-(i+1), so the radius
-    sum stays below `radius_budget`.  Centers come from the fixed Mcg64 stream
-    seeded with `seed`; identical arguments reproduce the identical spec.
+    Hole radii follow the geometric schedule 0.5 * 2^-(i+1), so the radius
+    sum stays below 0.5.  Centers come from the fixed Mcg64 stream seeded
+    with `seed`; identical arguments reproduce the identical spec.
     """
     if hole_count < 0:
         raise DensityConfigError("hole_count must be non-negative")
-    if not (0.0 < radius_budget <= 0.9):
-        raise DensityConfigError("radius_budget must lie in (0, 0.9]")
     rng = Mcg64(seed)
     margin = 0.02
     holes: list[Disk] = []
     for i in range(hole_count):
-        r = radius_budget * 2.0 ** -(i + 1)
+        r = _HOLE_RADIUS_BUDGET * 2.0 ** -(i + 1)
         placed = False
-        for _ in range(max_attempts):
+        for _ in range(_HOLE_ATTEMPTS):
             x = 2.0 * rng.uniform() - 1.0
             y = 2.0 * rng.uniform() - 1.0
             if math.hypot(x, y) > 1.0 - r - margin:
@@ -375,7 +376,7 @@ def swiss_cheese(seed: int, hole_count: int, radius_budget: float = 0.5,
                 break
         if not placed:
             raise PlacementError(
-                f"could not place hole {i} after {max_attempts} attempts")
+                f"could not place hole {i} after {_HOLE_ATTEMPTS} attempts")
     terms = [(Disk(0.0, 0.0, 1.0), 1.0)] + [(h, -1.0) for h in holes]
     return make_density(0j, 1.0, terms)
 

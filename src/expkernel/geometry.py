@@ -22,8 +22,6 @@ INSIDE = 1
 OUTSIDE = -1
 STRADDLE = 0
 
-_ASIN_EPS = 1e-15
-
 
 def _sqrt_primitive(cx: float, r: float, a: float, b: float) -> float:
     """Integral of sqrt(r^2 - (x-cx)^2) over [a, b] (clamped to the chord)."""

@@ -115,10 +115,6 @@ class MobiusDiscParams:
             return abs((self.lam - self.w) * (1.0 - self.alpha)) / 2.0
         return abs(self.beta * (self.lam - self.w)) / 2.0
 
-    def disk(self) -> Disk:
-        c = self.center
-        return Disk(c.real, c.imag, self.radius)
-
     def density(self, coeff: float = 1.0) -> DensitySpec:
         return disc_density(self.center, self.radius, coeff)
 

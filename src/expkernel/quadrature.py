@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .density import DensitySpec, clear_radius, eval_density
-from .geometry import INSIDE, OUTSIDE, STRADDLE, Disk
+from .geometry import INSIDE, OUTSIDE, STRADDLE, Annulus, Disk
 
 __all__ = [
     "QuadratureResult", "DiagonalMass", "InvalidPointError", "ToleranceError",
@@ -90,10 +90,6 @@ class DiagonalMass:
     error_estimate: float
     octaves: int
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.divergent
-
 
 _GL5_X, _GL5_W = leggauss(5)
 _GL7_X, _GL7_W = leggauss(7)
@@ -106,6 +102,14 @@ _T5W = np.outer(_GL5_W, _GL5_W).ravel()
 _CENTER_IDX = 12  # node (2, 2) of the 5x5 tensor rule sits at the cell centre
 
 Factor = tuple[str, complex]
+
+# Quadtree depth limit, and the depth of the initial uniform cover.
+_MAX_DEPTH = 26
+_INIT_DEPTH = 2
+# integrate_diagonal: a partial sum above _DIVERGENCE_THRESHOLD certifies
+# divergence; _MAX_OCTAVES bounds the descent.
+_DIVERGENCE_THRESHOLD = 40.0
+_MAX_OCTAVES = 1000
 
 
 def _factor_values(pts: np.ndarray, factors: tuple[Factor, ...], multiplier) -> np.ndarray:
@@ -310,12 +314,11 @@ def _polar_patch(g: DensitySpec, s: complex, cancel: str | None,
 
 class _Engine:
     def __init__(self, g: DensitySpec, factors: tuple[Factor, ...], multiplier,
-                 budget: int, max_depth: int):
+                 budget: int):
         self.g = g
         self.factors = factors
         self.multiplier = multiplier
         self.budget = budget
-        self.max_depth = max_depth
         self.cx = g.support_center.real
         self.cy = g.support_center.imag
         self.half = g.support_radius
@@ -348,7 +351,7 @@ class _Engine:
             sep = min(seps)
             if sep > 0.0:
                 d = max(4, math.ceil(math.log2(12.0 * self.half / sep)))
-        d = min(d, self.max_depth - 2)
+        d = min(d, _MAX_DEPTH - 2)
         self.block_depth = d
         n = 1 << d
         h = 2.0 * self.half / n
@@ -535,12 +538,12 @@ class _Engine:
                 out[key] = [v, e, "mass", (mass, absmass, spread)]
         return out
 
-    def run(self, tol: float, init_depth: int = 2) -> tuple[complex, float]:
+    def run(self, tol: float) -> tuple[complex, float]:
         roots: list = []
-        n0 = 1 << init_depth
+        n0 = 1 << _INIT_DEPTH
         for ix in range(n0):
             for iy in range(n0):
-                self._materialize((init_depth, ix, iy), roots)
+                self._materialize((_INIT_DEPTH, ix, iy), roots)
         self.leaves = self._evaluate_batch(roots)
         while self.evals < self.budget:
             n = max(len(self.leaves), 1)
@@ -550,7 +553,7 @@ class _Engine:
                 break
             share = tol / (2.0 * n)
             batch = sorted(
-                (k for k, rec in self.leaves.items() if rec[1] > share and k[0] < self.max_depth),
+                (k for k, rec in self.leaves.items() if rec[1] > share and k[0] < _MAX_DEPTH),
                 key=lambda k: (-self.leaves[k][1], k))
             if not batch:
                 break
@@ -593,8 +596,7 @@ class _Engine:
 
 
 def integrate_singular(g: DensitySpec, factors, tol: float, multiplier=None,
-                       attention=(), budget: int = 2_000_000,
-                       max_depth: int = 26) -> QuadratureResult:
+                       attention=(), budget: int = 2_000_000) -> QuadratureResult:
     """Integral of prod(factors) * multiplier * g over the plane.
 
     ``factors`` is a sequence of ('recip'|'recip_conj', point); ``attention``
@@ -603,23 +605,15 @@ def integrate_singular(g: DensitySpec, factors, tol: float, multiplier=None,
     """
     tol = _check_tol(tol)
     factors = tuple((k, complex(s)) for k, s in factors)
-    engine = _Engine(g, factors, multiplier, budget, max_depth)
-    seen = set()
-    points = []
-    kinds = {}
+    engine = _Engine(g, factors, multiplier, budget)
+    # Point -> the factor kind its polar patch cancels (None for attention
+    # points); a second factor at the same point keeps the first cancellation.
+    kinds: dict[complex, str | None] = {}
     for kind, s in factors:
-        if s not in seen:
-            seen.add(s)
-            points.append(s)
-            kinds[s] = kind
-        # a second factor at the same point keeps the first cancellation
+        kinds.setdefault(s, kind)
     for p in attention:
-        p = complex(p)
-        if p not in seen:
-            seen.add(p)
-            points.append(p)
-            kinds[p] = None
-    placed = engine.set_blocks(points)
+        kinds.setdefault(complex(p), None)
+    placed = engine.set_blocks(list(kinds))
     patch_tol = 0.5 * tol / len(placed) if placed else 0.0
     tree_tol = 0.5 * tol if placed else tol
     value = 0.0 + 0.0j
@@ -627,19 +621,12 @@ def integrate_singular(g: DensitySpec, factors, tol: float, multiplier=None,
     cells = 0
     evals = 0
     for p, rect in placed:
-        rest = tuple((k, s) for k, s in factors if s != p or kinds[p] is None)
+        rest = list(factors)
         if kinds[p] is not None:
-            # drop exactly one factor at p; keep duplicates beyond the first
-            dropped = False
-            rest = []
-            for k, s in factors:
-                if s == p and k == kinds[p] and not dropped:
-                    dropped = True
-                    continue
-                rest.append((k, s))
-            rest = tuple(rest)
-        extra = tuple(abs(q - p) for q in points if q != p)
-        v, e, n = _polar_patch(g, p, kinds[p], rest, multiplier, rect, patch_tol, extra)
+            rest.remove((kinds[p], p))  # exactly one factor; duplicates stay
+        extra = tuple(abs(q - p) for q in kinds if q != p)
+        v, e, n = _polar_patch(g, p, kinds[p], tuple(rest), multiplier, rect,
+                               patch_tol, extra)
         value += v
         err += e
         evals += n
@@ -683,26 +670,57 @@ def cauchy_transform(g: DensitySpec, lam: complex, tol: float, multiplier=None,
                             res.cells, res.evaluations)
 
 
-def _octave(g: DensitySpec, w: complex, r_lo: float, r_hi: float, tol: float):
-    """(1/pi) * integral of g |u-w|^-2 over the annulus r_lo <= |u-w| <= r_hi."""
-    wx, wy = w.real, w.imag
+def _circles(g: DensitySpec):
+    """(center, radius) of every circle on which g can jump."""
+    yield g.support_center, g.support_radius
+    for region, _ in g.terms:
+        if isinstance(region, Disk):
+            yield complex(region.cx, region.cy), region.r
+        elif isinstance(region, Annulus):
+            yield complex(region.cx, region.cy), region.r_inner
+            yield complex(region.cx, region.cy), region.r_outer
+
+
+def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
+                  weight: str, tol: float) -> tuple[float, float]:
+    """(value, error) of the integral of g times r^-2 ('invsq') or 1 ('mass')
+    over the annulus r_lo <= |u-c| <= r_hi, as an adaptive angular rule over
+    exact radial columns.
+
+    A column stops being smooth in the angle where a ray from c is tangent
+    to a circle of g, or meets one exactly at radius r_lo or r_hi.  The
+    angular rule breaks there: otherwise both of its levels can miss a thin
+    sliver of a circle's angular cone and agree on the miss.
+    """
+    cx, cy = c.real, c.imag
+    breaks = {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi}
+    for o, radius in _circles(g):
+        d = abs(o - c)
+        if radius <= 0.0 or d == 0.0:
+            continue
+        phi = math.atan2(o.imag - cy, o.real - cx)
+        spreads = [math.asin(radius / d)] if radius <= d else []
+        for rho in (r_lo, r_hi):
+            if rho > 0.0:
+                cos_a = (rho * rho + d * d - radius * radius) / (2.0 * rho * d)
+                if abs(cos_a) <= 1.0:
+                    spreads.append(math.acos(cos_a))
+        for a in spreads:
+            breaks.update(((phi + a) % (2.0 * math.pi), (phi - a) % (2.0 * math.pi)))
 
     def column(theta: float):
-        v = _column_exact(g, wx, wy, math.cos(theta), math.sin(theta), r_lo, r_hi, "invsq")
+        v = _column_exact(g, cx, cy, math.cos(theta), math.sin(theta), r_lo, r_hi, weight)
         return v, 0.0, 1
 
-    breaks = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi]
-    v, e, n = _adaptive_1d(column, breaks, tol * math.pi)
-    return v.real / math.pi, e / math.pi, n
+    v, e, _ = _adaptive_1d(column, sorted(breaks) + [2.0 * math.pi], tol)
+    return v.real, e
 
 
-def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6,
-                       divergence_threshold: float = 40.0,
-                       max_octaves: int = 1000) -> DiagonalMass:
+def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> DiagonalMass:
     """Diagonal mass (1/pi) * integral g(u) |u-w|^-2 da(u) with divergence detection.
 
     The integral is accumulated over geometric annuli r_k = r_top * 2^-k; the
-    partial sum is monotone, so crossing ``divergence_threshold`` certifies
+    partial sum is monotone, so crossing a threshold of 40 certifies
     divergence at any positive Lebesgue density point.  Descent stops early
     when the remaining disc is provably free of support.
     """
@@ -713,16 +731,17 @@ def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6,
     acc = 0.0
     err = 0.0
     vals: list[float] = []
-    for k in range(max_octaves):
+    for k in range(_MAX_OCTAVES):
         r_hi = r_top * 2.0 ** (-k)
         if r_hi <= cr:
             return DiagonalMass(False, acc, err, k)
         tol_k = max(tol / (2.0 * (k + 1) * (k + 2)), 1e-13)
-        v, e, _ = _octave(g, w, 0.5 * r_hi, r_hi, tol_k)
+        v, e = _radial_exact(g, w, 0.5 * r_hi, r_hi, "invsq", tol_k * math.pi)
+        v /= math.pi
         acc += v
-        err += e
+        err += e / math.pi
         vals.append(v)
-        if acc >= divergence_threshold:
+        if acc >= _DIVERGENCE_THRESHOLD:
             return DiagonalMass(True, acc, err, k + 1)
         if len(vals) >= 3 and max(vals[-3:]) <= 0.125 * tol:
             # Quiet octaves alone do not certify convergence: the support may
@@ -732,7 +751,7 @@ def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6,
             if inner <= 1e-12:
                 return DiagonalMass(False, acc, err, k + 1)
     raise QuadratureError(
-        f"diagonal mass undecided after {max_octaves} octaves (partial sum {acc:.6g})")
+        f"diagonal mass undecided after {_MAX_OCTAVES} octaves (partial sum {acc:.6g})")
 
 
 def radial_inverse_square_integral(g: DensitySpec, center: complex, r_lo: float,
@@ -741,31 +760,12 @@ def radial_inverse_square_integral(g: DensitySpec, center: complex, r_lo: float,
     tol = _check_tol(tol)
     if not (0.0 < r_lo < r_hi):
         raise InvalidPointError("need 0 < r_lo < r_hi")
-    total = 0.0
-    err = 0.0
-    hi = r_hi
-    k = 0
-    while hi > r_lo:
-        lo = max(hi * 0.5, r_lo)
-        tol_k = max(tol / (2.0 * (k + 1) * (k + 2)), 1e-14)
-        v, e, _ = _octave(g, center, lo, hi, tol_k)
-        total += v
-        err += e
-        hi = lo
-        k += 1
-    return total, err
+    v, e = _radial_exact(g, complex(center), r_lo, r_hi, "invsq", tol * math.pi)
+    return v / math.pi, e / math.pi
 
 
 def disc_mass(g: DensitySpec, center: complex, radius: float,
               tol: float = 1e-9) -> tuple[float, float]:
     """integral of g over the disc D(center, radius) by exact radial columns."""
     tol = _check_tol(tol)
-    cx, cy = complex(center).real, complex(center).imag
-
-    def column(theta: float):
-        v = _column_exact(g, cx, cy, math.cos(theta), math.sin(theta), 0.0, radius, "mass")
-        return v, 0.0, 1
-
-    breaks = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi]
-    v, e, _ = _adaptive_1d(column, breaks, tol)
-    return v.real, e
+    return _radial_exact(g, complex(center), 0.0, radius, "mass", tol)

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from expkernel.cauchy import (RegimeUnverified, check_h0_binomial,
-                              check_power_identity, check_product_identity,
-                              check_representation, dbar_transform_stencil,
-                              disc_transform, make_h0_context, make_transform,
-                              sample_transform)
+from expkernel import cauchy
+from expkernel.cauchy import (RegimeUnverified, _kernel_section,
+                              check_h0_binomial, check_power_identity,
+                              check_product_identity, check_representation,
+                              dbar_transform_stencil, disc_transform,
+                              make_h0_context, make_transform, sample_transform)
 from expkernel.density import (annulus_density, disc_density, make_density,
                                unit_disc_density)
 from expkernel.geometry import Disk, Rectangle
+from expkernel.kernel import eval_E
 
 from oracles import midpoint_rect
 
@@ -60,6 +62,60 @@ def test_make_transform_quadrature_path_vs_oracle():
     want = midpoint_rect(lambda u: 1.0 / (u - lam),
                          -0.5, 0.4, -0.3, 0.2) / math.pi
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+# -- memoized quadrature fallbacks
+
+
+RECT = make_density(0j, 1.0, [(Rectangle(-0.5, -0.3, 0.4, 0.2), 1.0)])
+PANEL = np.array([[1.5 + 0.8j, -1.2 + 0.4j], [1.5 + 0.8j, -1.2 + 0.4j]])
+
+
+def _count_calls(monkeypatch, name):
+    """Record the point of every call to cauchy.<name>, still calling it."""
+    calls = []
+    real = getattr(cauchy, name)
+
+    def counted(g, u, *args, **kw):
+        calls.append(u)
+        return real(g, u, *args, **kw)
+
+    monkeypatch.setattr(cauchy, name, counted)
+    return calls
+
+
+def test_make_transform_fallback_integrates_once_per_point(monkeypatch):
+    calls = _count_calls(monkeypatch, "cauchy_transform")
+    transform = make_transform(RECT, tol=1e-5)
+    first = transform(PANEL)
+    again = transform(PANEL[0])
+    assert calls == [1.5 + 0.8j, -1.2 + 0.4j]
+    assert first.shape == PANEL.shape
+    np.testing.assert_array_equal(first[0], first[1])
+    np.testing.assert_array_equal(first[0], again)
+
+
+def test_h0_context_fallback_integrates_once_per_point(monkeypatch):
+    calls = _count_calls(monkeypatch, "cauchy_transform")
+    ctx = make_h0_context(RECT, tol=1e-4)
+    assert calls == [0.0]  # the constant C
+    first = ctx.transform(PANEL)
+    again = ctx.transform(PANEL[1])
+    assert calls == [0.0, 1.5 + 0.8j, -1.2 + 0.4j]
+    np.testing.assert_array_equal(first[0], first[1])
+    np.testing.assert_array_equal(first[1], again)
+
+
+def test_kernel_section_fallback_matches_eval_E(monkeypatch):
+    g = disc_density(0.1j, 0.8, 0.5)  # coefficient 0.5: no closed section
+    w = 2.0 + 0j
+    expected = [eval_E(g, u, w, 1e-4).value for u in PANEL[0]]
+    calls = _count_calls(monkeypatch, "eval_E")
+    section = _kernel_section(g, w, 1e-4)
+    got = section(PANEL)
+    section(PANEL[0])
+    assert calls == [1.5 + 0.8j, -1.2 + 0.4j]
+    assert got.tolist() == [expected, expected]
 
 
 # -- product and power identities

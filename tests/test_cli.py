@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from expkernel.cli import build_parser, cmd_verify
+from expkernel.suites import SUITES, suite_properties
+
 
 def run_cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "expkernel.cli", *args],
@@ -77,6 +80,13 @@ def test_verify_shift_suite_passes():
     assert all(l.startswith("PASS") for l in lines[:-1])
 
 
+def test_verify_properties_parses():
+    # parse only: the properties suite itself runs for minutes
+    args = build_parser().parse_args(["verify", "properties"])
+    assert args.func is cmd_verify
+    assert SUITES[args.suite] is suite_properties
+
+
 def test_verify_unknown_suite_is_usage_error():
     r = run_cli("verify", "no-such-suite")
     assert r.returncode == 2
@@ -120,12 +130,6 @@ def test_estimate_gamma_output():
     r = run_cli("estimate", "unit-disc", "--w", "0,0", "--mode", "gamma")
     assert r.returncode == 0
     assert r.stdout.strip() == "gamma_hat = 1.000000"
-
-
-def test_threads_validation():
-    r = run_cli("eval", "unit-disc", "--lam", "0.5,0", "--w", "0,0",
-                "--threads", "0")
-    assert r.returncode == 2
 
 
 def test_bad_complex_argument_is_usage_error():

@@ -34,6 +34,16 @@ def test_mcg64_determinism_and_range():
     assert len(set(vals)) == 1000
 
 
+@pytest.mark.parametrize("n", [1, 2, 131072])
+def test_mcg64_uniforms_match_scalar_stream(n):
+    block, scalar = Mcg64(9), Mcg64(9)
+    got = block.uniforms(n)
+    want = np.array([scalar.uniform() for _ in range(n)])
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert block.state == scalar.state
+
+
 def test_eval_density_piecewise_values():
     g = make_density(0j, 2.0, [(Disk(0.0, 0.0, 1.0), 0.6),
                                (Annulus(0.0, 0.0, 0.5, 1.5), 0.4)])

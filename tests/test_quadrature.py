@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from expkernel.density import (annulus_density, disc_density, make_density,
-                               unit_disc_density)
+from expkernel.density import (Mcg64, annulus_density, disc_density,
+                               make_density, unit_disc_density)
 from expkernel.geometry import Annulus, Disk
 from expkernel.quadrature import (InvalidPointError, TolNotReached,
                                   ToleranceError, cauchy_transform, disc_mass,
@@ -115,6 +115,41 @@ def test_diagonal_separated_island_value():
 
     want = midpoint_rect(f, 0.3, 0.5, -0.1, 0.1, n=1500) / math.pi
     np.testing.assert_allclose(dm.value, want, rtol=0, atol=1e-5)
+
+
+def test_diagonal_estimate_bounds_error_outside_unit_disc():
+    # the exact angular columns have kinks where a ray is tangent to the
+    # circle or meets it at an octave radius; closed form -ln(1 - 1/|w|^2)
+    w = 1.5 + 0.2j
+    dm = integrate_diagonal(UNIT, w, 1e-5)
+    assert not dm.divergent
+    assert abs(dm.value + math.log(1.0 - 1.0 / abs(w) ** 2)) <= dm.error_estimate
+
+
+def test_diagonal_estimate_bounds_error_offset_discs():
+    # w outside a disc D(c, r) at |w - c| = k r: the value is -ln(1 - 1/k^2)
+    rng = Mcg64(3)
+    for _ in range(40):
+        c = complex(2.0 * rng.uniform() - 1.0, 2.0 * rng.uniform() - 1.0)
+        r = 0.2 + rng.uniform()
+        th = 2.0 * math.pi * rng.uniform()
+        k = 1.1 + 0.7 * rng.uniform()
+        w = c + k * r * complex(math.cos(th), math.sin(th))
+        dm = integrate_diagonal(disc_density(c, r), w, 1e-4)
+        assert not dm.divergent
+        err = abs(dm.value + math.log(1.0 - 1.0 / k ** 2))
+        assert err <= dm.error_estimate, (c, r, w)
+
+
+def test_disc_mass_lens_estimate_bounds_error():
+    # a small disc centred on the unit circle covers a lens, not half a disc;
+    # the closed lens area cancels terms, so allow a few ulps of each term
+    rho = 1.0 / 64.0
+    mass, err = disc_mass(UNIT, 1.0 + 0j, rho, 1e-9)
+    terms = (rho * rho * math.acos(rho / 2.0), 2.0 * math.asin(rho / 2.0),
+             -0.5 * rho * math.sqrt(4.0 - rho * rho))
+    rounding = 8.0 * np.finfo(float).eps * sum(abs(t) for t in terms)
+    assert abs(mass - sum(terms)) <= err + rounding
 
 
 def test_radial_inverse_square_unit_disc():
