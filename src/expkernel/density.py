@@ -100,24 +100,31 @@ class GridLayer:
         out[ok] = self.values[iy[ok], ix[ok]]
         return out
 
-    def cell_mass(self, x0: float, x1: float, y0: float, y1: float) -> float:
-        """Exact integral of the layer over an axis-aligned rectangle."""
+    def cell_mass(self, x0, x1, y0, y1):
+        """Exact integral of the layer over axis-aligned rectangles (bounds broadcast).
+
+        Each rectangle sums its overlaps with the layer cells row by row, in
+        the same order for every rectangle of the batch.
+        """
+        x0, x1, y0, y1 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                               for v in (x0, x1, y0, y1)))
         s = self.spacing
-        i0 = max(int(math.floor((x0 - self.origin_x) / s)), 0)
-        i1 = min(int(math.ceil((x1 - self.origin_x) / s)), self.nx)
-        j0 = max(int(math.floor((y0 - self.origin_y) / s)), 0)
-        j1 = min(int(math.ceil((y1 - self.origin_y) / s)), self.ny)
-        total = 0.0
-        for j in range(j0, j1):
+        i0 = np.maximum(np.floor((x0 - self.origin_x) / s), 0).astype(np.int64)
+        i1 = np.minimum(np.ceil((x1 - self.origin_x) / s), self.nx).astype(np.int64)
+        j0 = np.maximum(np.floor((y0 - self.origin_y) / s), 0).astype(np.int64)
+        j1 = np.minimum(np.ceil((y1 - self.origin_y) / s), self.ny).astype(np.int64)
+        total = np.zeros(x0.shape)
+        for dj in range(int(np.max(j1 - j0, initial=0))):
+            j = j0 + dj
             cy0 = self.origin_y + j * s
-            h = min(y1, cy0 + s) - max(y0, cy0)
-            if h <= 0.0:
-                continue
-            for i in range(i0, i1):
+            h = np.where(cy0 + s < y1, cy0 + s, y1) - np.where(cy0 > y0, cy0, y0)
+            row = (j < j1) & (h > 0.0)
+            for di in range(int(np.max(i1 - i0, initial=0))):
+                i = i0 + di
                 cx0 = self.origin_x + i * s
-                w = min(x1, cx0 + s) - max(x0, cx0)
-                if w > 0.0:
-                    total += w * h * float(self.values[j, i])
+                w = np.where(cx0 + s < x1, cx0 + s, x1) - np.where(cx0 > x0, cx0, x0)
+                v = self.values[np.minimum(j, self.ny - 1), np.minimum(i, self.nx - 1)]
+                total = np.where(row & (i < i1) & (w > 0.0), total + w * h * v, total)
         return total
 
     def ray_crossings(self, sx: float, sy: float, ct: float, st: float) -> list[float]:

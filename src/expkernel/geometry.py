@@ -9,6 +9,10 @@ that the adaptive integrator relies on:
 * the positive radii at which a ray ``s + t*exp(i*theta)`` can cross the
   region boundary (so radial integrals can be split into segments on which
   the indicator is constant).
+
+The two cell queries take arrays of cell bounds, so the integrator
+classifies and intersects a whole batch of cells at once; scalar bounds
+give 0-d arrays.  They reproduce scalar float arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -23,66 +27,76 @@ OUTSIDE = -1
 STRADDLE = 0
 
 
-def _sqrt_primitive(cx: float, r: float, a: float, b: float) -> float:
-    """Integral of sqrt(r^2 - (x-cx)^2) over [a, b] (clamped to the chord)."""
-
-    def prim(x: float) -> float:
-        t = (x - cx) / r
-        t = min(1.0, max(-1.0, t))
-        return 0.5 * (r * r * math.asin(t) + (x - cx) * math.sqrt(max(r * r - (x - cx) ** 2, 0.0)))
-
-    return prim(b) - prim(a)
+def _pymax(a, b):
+    """Elementwise max(a, b) with Python's tie rule: a unless b > a."""
+    return np.where(b > a, b, a)
 
 
-def disk_rect_area(cx: float, cy: float, r: float, x0: float, x1: float, y0: float, y1: float) -> float:
+def _pymin(a, b):
+    """Elementwise min(a, b) with Python's tie rule: a unless b < a."""
+    return np.where(b < a, b, a)
+
+
+def _sq(x):
+    """x ** 2 by C pow(), as Python floats square; numpy's x**2 multiplies and
+    can differ in the last bit."""
+    return np.frompyfunc(pow, 2, 1)(x, 2).astype(float)
+
+
+def _sqrt_prim(cx, r, x):
+    """Primitive of sqrt(r^2 - (x-cx)^2) at x (clamped to the chord)."""
+    t = _pymin(1.0, _pymax(-1.0, (x - cx) / r))
+    asin = np.frompyfunc(math.asin, 1, 1)(t).astype(float)
+    return 0.5 * (r * r * asin + (x - cx) * np.sqrt(_pymax(r * r - _sq(x - cx), 0.0)))
+
+
+def disk_rect_area(cx, cy, r, x0, x1, y0, y1):
     """Exact area of the intersection of the disc D((cx,cy), r) with a rectangle.
 
     The vertical extent of the disc at abscissa x is [cy - s(x), cy + s(x)]
     with s = sqrt(r^2 - (x-cx)^2); clipping against [y0, y1] is piecewise
     analytic with breakpoints where the circle crosses the horizontal edges,
     so the area reduces to closed-form arcsin/sqrt primitives per piece.
+    Arguments broadcast; scalars give a 0-d array.
     """
-    if r <= 0.0:
-        return 0.0
-    lo = max(x0, cx - r)
-    hi = min(x1, cx + r)
-    if lo >= hi:
-        return 0.0
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                 for v in (cx, cy, r, x0, x1, y0, y1)))
+    out = np.zeros(args[0].shape)
+    lo = _pymax(args[3], args[0] - args[2])
+    hi = _pymin(args[4], args[0] + args[2])
+    live = (args[2] > 0.0) & (lo < hi)
+    cx, cy, r, x0, x1, y0, y1 = (a[live] for a in args)
+    lo, hi = lo[live], hi[live]
+    # Breakpoints: the clipped chord ends, then the circle's crossings with
+    # y = y0 and y = y1 inside them; absent crossings repeat hi, giving
+    # empty pieces that are skipped.
     xs = [lo, hi]
     for yb in (y0 - cy, y1 - cy):
-        if abs(yb) < r:
-            d = math.sqrt(r * r - yb * yb)
-            for x in (cx - d, cx + d):
-                if lo < x < hi:
-                    xs.append(x)
-    xs.sort()
-    total = 0.0
-    for a, b in zip(xs[:-1], xs[1:]):
-        if b - a <= 0.0:
-            continue
-        xm = 0.5 * (a + b)
-        s = math.sqrt(max(r * r - (xm - cx) ** 2, 0.0))
-        top = min(cy + s, y1)
-        bot = max(cy - s, y0)
-        if top <= bot:
-            continue
-        if cy + s < y1:
-            upper = cy * (b - a) + _sqrt_primitive(cx, r, a, b)
-        else:
-            upper = y1 * (b - a)
-        if cy - s > y0:
-            lower = cy * (b - a) - _sqrt_primitive(cx, r, a, b)
-        else:
-            lower = y0 * (b - a)
-        total += upper - lower
-    return max(total, 0.0)
+        cut = np.abs(yb) < r
+        d = np.sqrt(np.where(cut, r * r - yb * yb, 0.0))
+        for x in (cx - d, cx + d):
+            xs.append(np.where(cut & (lo < x) & (x < hi), x, hi))
+    xs = np.sort(np.stack(xs, axis=1), axis=1)
+    prim = _sqrt_prim(cx[:, None], r[:, None], xs)
+    total = np.zeros(lo.shape)
+    for k in range(xs.shape[1] - 1):
+        a, b = xs[:, k], xs[:, k + 1]
+        w = b - a
+        s = np.sqrt(_pymax(r * r - _sq(0.5 * (a + b) - cx), 0.0))
+        seg = prim[:, k + 1] - prim[:, k]
+        upper = np.where(cy + s < y1, cy * w + seg, y1 * w)
+        lower = np.where(cy - s > y0, cy * w - seg, y0 * w)
+        keep = (w > 0.0) & (_pymin(cy + s, y1) > _pymax(cy - s, y0))
+        total = np.where(keep, total + (upper - lower), total)
+    out[live] = _pymax(total, 0.0)
+    return out
 
 
-def rect_rect_area(ax0: float, ax1: float, ay0: float, ay1: float,
-                   bx0: float, bx1: float, by0: float, by1: float) -> float:
-    w = min(ax1, bx1) - max(ax0, bx0)
-    h = min(ay1, by1) - max(ay0, by0)
-    return w * h if (w > 0.0 and h > 0.0) else 0.0
+def rect_rect_area(ax0, ax1, ay0, ay1, bx0, bx1, by0, by1):
+    """Area of the intersection of two axis-aligned rectangles; broadcasts."""
+    w = _pymin(ax1, bx1) - _pymax(ax0, bx0)
+    h = _pymin(ay1, by1) - _pymax(ay0, by0)
+    return np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
 
 
 def _circle_ray_crossings(cx: float, cy: float, r: float,
@@ -117,18 +131,16 @@ class Disk:
         im = np.imag(u) - self.cy
         return re * re + im * im <= self.r * self.r
 
-    def classify_cell(self, x0: float, x1: float, y0: float, y1: float) -> int:
-        ndx = max(x0 - self.cx, 0.0, self.cx - x1)
-        ndy = max(y0 - self.cy, 0.0, self.cy - y1)
-        if ndx * ndx + ndy * ndy >= self.r * self.r:
-            return OUTSIDE
-        fdx = max(x1 - self.cx, self.cx - x0)
-        fdy = max(y1 - self.cy, self.cy - y0)
-        if fdx * fdx + fdy * fdy <= self.r * self.r:
-            return INSIDE
-        return STRADDLE
+    def classify_cell(self, x0, x1, y0, y1):
+        ndx = np.maximum(np.maximum(x0 - self.cx, 0.0), self.cx - x1)
+        ndy = np.maximum(np.maximum(y0 - self.cy, 0.0), self.cy - y1)
+        fdx = np.maximum(x1 - self.cx, self.cx - x0)
+        fdy = np.maximum(y1 - self.cy, self.cy - y0)
+        rr = self.r * self.r
+        return np.where(ndx * ndx + ndy * ndy >= rr, OUTSIDE,
+                        np.where(fdx * fdx + fdy * fdy <= rr, INSIDE, STRADDLE))
 
-    def cell_area(self, x0: float, x1: float, y0: float, y1: float) -> float:
+    def cell_area(self, x0, x1, y0, y1):
         return disk_rect_area(self.cx, self.cy, self.r, x0, x1, y0, y1)
 
     def ray_crossings(self, sx: float, sy: float, ct: float, st: float) -> list[float]:
@@ -160,18 +172,13 @@ class Annulus:
         d2 = re * re + im * im
         return (d2 >= self.r_inner * self.r_inner) & (d2 <= self.r_outer * self.r_outer)
 
-    def classify_cell(self, x0: float, x1: float, y0: float, y1: float) -> int:
+    def classify_cell(self, x0, x1, y0, y1):
         outer = Disk(self.cx, self.cy, self.r_outer).classify_cell(x0, x1, y0, y1)
-        if outer == OUTSIDE:
-            return OUTSIDE
         inner = Disk(self.cx, self.cy, self.r_inner).classify_cell(x0, x1, y0, y1)
-        if inner == INSIDE:
-            return OUTSIDE
-        if outer == INSIDE and inner == OUTSIDE:
-            return INSIDE
-        return STRADDLE
+        return np.where((outer == OUTSIDE) | (inner == INSIDE), OUTSIDE,
+                        np.where((outer == INSIDE) & (inner == OUTSIDE), INSIDE, STRADDLE))
 
-    def cell_area(self, x0: float, x1: float, y0: float, y1: float) -> float:
+    def cell_area(self, x0, x1, y0, y1):
         return (disk_rect_area(self.cx, self.cy, self.r_outer, x0, x1, y0, y1)
                 - disk_rect_area(self.cx, self.cy, self.r_inner, x0, x1, y0, y1))
 
@@ -205,14 +212,12 @@ class Rectangle:
         im = np.imag(u)
         return (re >= self.x0) & (re <= self.x1) & (im >= self.y0) & (im <= self.y1)
 
-    def classify_cell(self, x0: float, x1: float, y0: float, y1: float) -> int:
-        if x1 <= self.x0 or x0 >= self.x1 or y1 <= self.y0 or y0 >= self.y1:
-            return OUTSIDE
-        if x0 >= self.x0 and x1 <= self.x1 and y0 >= self.y0 and y1 <= self.y1:
-            return INSIDE
-        return STRADDLE
+    def classify_cell(self, x0, x1, y0, y1):
+        out = (x1 <= self.x0) | (x0 >= self.x1) | (y1 <= self.y0) | (y0 >= self.y1)
+        inside = (x0 >= self.x0) & (x1 <= self.x1) & (y0 >= self.y0) & (y1 <= self.y1)
+        return np.where(out, OUTSIDE, np.where(inside, INSIDE, STRADDLE))
 
-    def cell_area(self, x0: float, x1: float, y0: float, y1: float) -> float:
+    def cell_area(self, x0, x1, y0, y1):
         return rect_rect_area(self.x0, self.x1, self.y0, self.y1, x0, x1, y0, y1)
 
     def ray_crossings(self, sx: float, sy: float, ct: float, st: float) -> list[float]:

@@ -17,8 +17,14 @@ bounded multiplier and g is a DensitySpec.  Strategy:
   tensor 5-point Gauss-Legendre rule, cells straddling at most one curved
   boundary use the exact intersection area with a midpoint value of the
   smooth part, and refinement is driven by two-level differences;
+* the quadtree keeps its leaves as parallel numpy arrays (index, value,
+  error), and each refinement step classifies, intersects, evaluates and
+  sums one whole batch of cells as array operations;
 * cell contributions are accumulated with a fixed-order pairwise summation,
   so results are bit-identical for identical inputs.
+
+The diagonal and disc-mass integrals use exact radial columns under an
+adaptive angular rule, broken wherever a column has a kink.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .density import DensitySpec, clear_radius, eval_density
-from .geometry import INSIDE, OUTSIDE, STRADDLE, Annulus, Disk
+from .geometry import INSIDE, OUTSIDE, STRADDLE, Annulus, Disk, Rectangle
 
 __all__ = [
     "QuadratureResult", "DiagonalMass", "InvalidPointError", "ToleranceError",
@@ -323,21 +329,14 @@ class _Engine:
         self.cy = g.support_center.imag
         self.half = g.support_radius
         self.evals = 0
-        self.leaves: dict[tuple[int, int, int], list] = {}
+        # Leaves as parallel arrays: index (depth, ix, iy), value, error.
+        self.depth = self.ix = self.iy = np.zeros(0, dtype=np.int64)
+        self.value = np.zeros(0, dtype=complex)
+        self.err = np.zeros(0)
         # Blocks live on the dyadic grid as integer index triples (depth, i0, j0)
         # spanning columns [i0, i0+2) and rows [j0, j0+2); keeping them integral
         # makes every containment test exact at any refinement depth.
         self.blocks: list[tuple[int, int, int]] = []
-        self.block_depth = 0
-
-    # -- geometry helpers
-
-    def _bounds(self, key):
-        depth, ix, iy = key
-        h = 2.0 * self.half / (1 << depth)
-        x0 = self.cx - self.half + ix * h
-        y0 = self.cy - self.half + iy * h
-        return x0, x0 + h, y0, y0 + h
 
     def set_blocks(self, points: list[complex]) -> list[tuple[complex, tuple]]:
         """Excise an aligned 2x2 cell block around each point inside the root square."""
@@ -352,7 +351,6 @@ class _Engine:
             if sep > 0.0:
                 d = max(4, math.ceil(math.log2(12.0 * self.half / sep)))
         d = min(d, _MAX_DEPTH - 2)
-        self.block_depth = d
         n = 1 << d
         h = 2.0 * self.half / n
         out = []
@@ -371,223 +369,219 @@ class _Engine:
             out.append((p, rect))
         return out
 
-    def _block_relation(self, key) -> int:
-        """1 when the cell is inside some block, 0 when disjoint from all, -1 overlap."""
-        depth, ix, iy = key
-        for bd, bi, bj in self.blocks:
-            if depth >= bd:
-                sh = depth - bd
-                if bi <= ix >> sh < bi + 2 and bj <= iy >> sh < bj + 2:
-                    return 1
-            else:
-                sh = bd - depth
-                lx, hx = ix << sh, (ix + 1) << sh
-                ly, hy = iy << sh, (iy + 1) << sh
-                if lx < bi + 2 and hx > bi and ly < bj + 2 and hy > bj:
-                    if bi <= lx and hx <= bi + 2 and bj <= ly and hy <= bj + 2:
-                        return 1
-                    return -1
-        return 0
+    # -- cell batches: index arrays (depth, ix, iy) in a fixed order
 
-    def _materialize(self, key, out: list) -> None:
-        rel = self._block_relation(key)
-        if rel == 0:
-            out.append(key)
-        elif rel == -1:
-            depth, ix, iy = key
-            for dx in (0, 1):
-                for dy in (0, 1):
-                    self._materialize((depth + 1, 2 * ix + dx, 2 * iy + dy), out)
-        # rel == 1: covered by a polar patch
+    @staticmethod
+    def _children(depth, ix, iy):
+        """The four children of each cell, x-major, cell after cell."""
+        return (np.repeat(depth + 1, 4), (2 * ix[:, None] + [0, 0, 1, 1]).ravel(),
+                (2 * iy[:, None] + [0, 1, 0, 1]).ravel())
+
+    def _block_relation(self, depth, ix, iy):
+        """Per cell: 1 inside some block, 0 disjoint from all, -1 partial
+        overlap; the first block a cell meets decides."""
+        bd, bi, bj = np.array(self.blocks, dtype=np.int64).T[:, None, :]
+        d, x, y = depth[:, None], ix[:, None], iy[:, None]
+        deep = d >= bd
+        sh = np.abs(d - bd)
+        px, py = x >> sh, y >> sh
+        lx, hx, ly, hy = x << sh, (x + 1) << sh, y << sh, (y + 1) << sh
+        within = np.where(deep, (bi <= px) & (px < bi + 2) & (bj <= py) & (py < bj + 2),
+                          (bi <= lx) & (hx <= bi + 2) & (bj <= ly) & (hy <= bj + 2))
+        meets = ~deep & (lx < bi + 2) & (hx > bi) & (ly < bj + 2) & (hy > bj)
+        rel = np.where(within, 1, np.where(meets, -1, 0))
+        return rel[np.arange(rel.shape[0]), np.argmax(rel != 0, axis=1)]
+
+    def _materialize(self, depth, ix, iy):
+        """The cells outside every block, with the input index each came from.
+
+        A cell inside a block is dropped (its polar patch covers it); one
+        partly over a block is replaced, in place, by its children, split
+        again where they overlap.  Splits run level by level over the whole
+        batch; a lexsort on the child digits restores depth-first order.
+        """
+        src = np.arange(depth.size)
+        if not self.blocks:
+            return depth, ix, iy, src
+        kept, path = [], [src]
+        while True:
+            rel = self._block_relation(depth, ix, iy)
+            kept.append([a[rel == 0] for a in (depth, ix, iy, *path)])
+            split = rel == -1
+            if not split.any():
+                break
+            depth, ix, iy = self._children(depth[split], ix[split], iy[split])
+            path = [np.repeat(p[split], 4) for p in path] + [np.tile(np.arange(4), depth.size // 4)]
+        # Columns depth, ix, iy, input index, then one child digit per split
+        # level.  A kept cell has no descendants, so zero-padded digit paths
+        # sort the cells depth first.
+        cols = [np.concatenate([k[i] if i < len(k) else np.zeros(k[0].size, dtype=np.int64)
+                                for k in kept]) for i in range(3 + len(kept))]
+        order = np.lexsort(cols[:2:-1])
+        return tuple(c[order] for c in cols[:4])
 
     # -- classification and evaluation
 
-    def _classify(self, bounds):
-        """(kind, payload): 'const' with g value, or 'mass' with exact/sampled masses."""
-        x0, x1, y0, y1 = bounds
-        any_straddle = False
-        curved = 0
-        statuses = []
-        for region, coeff in self.g.terms:
-            st = region.classify_cell(x0, x1, y0, y1)
-            statuses.append(st)
-            if st == STRADDLE:
-                any_straddle = True
-                if region.curved:
-                    curved += 1
+    def _evaluate(self, depth, ix, iy):
+        """Classify and evaluate a batch of cells in one pass: the indices of
+        the cells that carry mass, with their values, errors and sampled flags.
+
+        Constant cells take the 5x5 tensor rule, its centre node as the coarse
+        level; cells crossed by boundaries take their mass times the
+        integrand at the centre, the spread to the corners as the error."""
+        n = depth.size
+        h = 2.0 * self.half / (1 << depth)
+        x0 = self.cx - self.half + ix * h
+        y0 = self.cy - self.half + iy * h
+        x1, y1 = x0 + h, y0 + h
+        statuses = [region.classify_cell(x0, x1, y0, y1) for region, _ in self.g.terms]
         grid = self.g.grid
-        grid_const = 0.0
-        grid_straddle = False
+        gc = np.zeros(n)
+        grid_straddle = np.zeros(n, dtype=bool)
         if grid is not None:
             gx0, gx1, gy0, gy1 = grid.bbox
-            if x1 <= gx0 or x0 >= gx1 or y1 <= gy0 or y0 >= gy1:
-                grid_const = 0.0
-            else:
-                s = grid.spacing
-                i0 = math.floor((x0 - grid.origin_x) / s)
-                j0 = math.floor((y0 - grid.origin_y) / s)
-                i1 = math.ceil((x1 - grid.origin_x) / s)
-                j1 = math.ceil((y1 - grid.origin_y) / s)
-                if (i1 - i0 == 1 and j1 - j0 == 1 and x0 >= gx0 and x1 <= gx1
-                        and y0 >= gy0 and y1 <= gy1):
-                    grid_const = float(grid.values[int(j0), int(i0)])
-                else:
-                    grid_straddle = True
-        if not any_straddle and not grid_straddle:
-            gc = grid_const
-            for (region, coeff), st in zip(self.g.terms, statuses):
-                if st == INSIDE:
-                    gc += coeff
-            return "const", gc
-        area = (x1 - x0) * (y1 - y0)
-        if curved <= 1:
-            mass = 0.0
-            absmass = 0.0
-            for (region, coeff), st in zip(self.g.terms, statuses):
-                if st == OUTSIDE:
-                    continue
-                a = region.cell_area(x0, x1, y0, y1) if st == STRADDLE else area
-                mass += coeff * a
-                absmass += abs(coeff) * a
-            if grid is not None:
-                gm = grid.cell_mass(x0, x1, y0, y1) if grid_straddle else grid_const * area
-                mass += gm
-                absmass += gm
-            return "mass", (mass, absmass, 0.0)
-        # Two or more distinct curved boundaries through one cell: sampled
-        # masses.  Sampling can miss thin slivers between the sample points
-        # entirely, so the spread is floored by the worst density range the
-        # straddling terms could produce, which forces refinement here.
-        xs = x0 + (np.arange(4) + 0.5) * (x1 - x0) / 4.0
-        ys = y0 + (np.arange(4) + 0.5) * (y1 - y0) / 4.0
-        uu = (xs[None, :] + 1j * ys[:, None]).ravel()
-        gv = np.atleast_1d(eval_density(self.g, uu))
-        self.evals += gv.size
-        range_bound = sum(abs(coeff) for (region, coeff), st
-                          in zip(self.g.terms, statuses) if st == STRADDLE)
-        mass = float(np.mean(gv)) * area
-        absmass = float(np.mean(np.abs(gv))) * area
-        spread = max(float(gv.max() - gv.min()), range_bound) * area
-        return "mass", (mass, absmass, spread)
-
-    def _evaluate_batch(self, keys: list) -> dict:
-        """Classify and evaluate a batch of cells; returns key -> leaf record.
-
-        Leaf record: [value, err, kind, aux] with kind 'const' or 'mass'.
-        """
-        const_keys = []
-        const_g = []
-        const_bounds = []
-        mass_keys = []
-        mass_data = []
-        mass_bounds = []
-        for key in keys:
-            b = self._bounds(key)
-            kind, payload = self._classify(b)
-            if kind == "const":
-                if payload == 0.0:
-                    continue
-                const_keys.append(key)
-                const_g.append(payload)
-                const_bounds.append(b)
-            else:
-                mass, absmass, spread = payload
-                if absmass <= 1e-300 and spread <= 1e-300:
-                    continue
-                mass_keys.append(key)
-                mass_data.append(payload)
-                mass_bounds.append(b)
-        out = {}
-        if const_keys:
-            nb = np.asarray(const_bounds)
-            xm = 0.5 * (nb[:, 0] + nb[:, 1])
-            ym = 0.5 * (nb[:, 2] + nb[:, 3])
-            hx = 0.5 * (nb[:, 1] - nb[:, 0])
-            hy = 0.5 * (nb[:, 3] - nb[:, 2])
+            s = grid.spacing
+            i0 = np.floor((x0 - grid.origin_x) / s)
+            j0 = np.floor((y0 - grid.origin_y) / s)
+            one = ((np.ceil((x1 - grid.origin_x) / s) - i0 == 1)
+                   & (np.ceil((y1 - grid.origin_y) / s) - j0 == 1)
+                   & (x0 >= gx0) & (x1 <= gx1) & (y0 >= gy0) & (y1 <= gy1))
+            gc[one] = grid.values[j0[one].astype(np.int64), i0[one].astype(np.int64)]
+            grid_straddle = ~one & ~((x1 <= gx0) | (x0 >= gx1) | (y1 <= gy0) | (y0 >= gy1))
+        const = ~grid_straddle
+        for st in statuses:
+            const &= st != STRADDLE
+        mc, mass, absmass, spread = self._masses(np.flatnonzero(~const), x0, x1, y0, y1,
+                                                 statuses, gc, grid_straddle)
+        for (_, coeff), st in zip(self.g.terms, statuses):
+            gc = np.where(st == INSIDE, gc + coeff, gc)
+        live = np.zeros(n, dtype=bool)
+        value = np.zeros(n, dtype=complex)
+        err = np.zeros(n)
+        sampled = np.zeros(n, dtype=bool)
+        cc = np.flatnonzero(const & (gc != 0.0))
+        if cc.size:
+            xm = 0.5 * (x0[cc] + x1[cc])
+            ym = 0.5 * (y0[cc] + y1[cc])
+            hx = 0.5 * (x1[cc] - x0[cc])
+            hy = 0.5 * (y1[cc] - y0[cc])
             pts = (xm[:, None] + hx[:, None] * _T5X[None, :]) + 1j * (
                 ym[:, None] + hy[:, None] * _T5Y[None, :])
             F = _factor_values(pts, self.factors, self.multiplier)
             self.evals += F.size
             area4 = hx * hy  # cell area / 4
             vals = (F @ _T5W) * area4
-            mids = F[:, _CENTER_IDX] * (4.0 * area4)
-            gc = np.asarray(const_g)
-            for i, key in enumerate(const_keys):
-                v = gc[i] * vals[i]
-                e = 0.5 * abs(gc[i]) * abs(vals[i] - mids[i])
-                out[key] = [v, e, "const", gc[i]]
-        if mass_keys:
-            nb = np.asarray(mass_bounds)
-            xm = 0.5 * (nb[:, 0] + nb[:, 1])
-            ym = 0.5 * (nb[:, 2] + nb[:, 3])
+            d = vals - F[:, _CENTER_IDX] * (4.0 * area4)
+            live[cc] = True
+            value[cc] = gc[cc] * vals
+            err[cc] = 0.5 * np.abs(gc[cc]) * np.hypot(d.real, d.imag)
+        if mc.size:
             pts = np.stack([
-                xm + 1j * ym,
-                nb[:, 0] + 1j * nb[:, 2],
-                nb[:, 0] + 1j * nb[:, 3],
-                nb[:, 1] + 1j * nb[:, 2],
-                nb[:, 1] + 1j * nb[:, 3],
+                0.5 * (x0[mc] + x1[mc]) + 1j * (0.5 * (y0[mc] + y1[mc])),
+                x0[mc] + 1j * y0[mc],
+                x0[mc] + 1j * y1[mc],
+                x1[mc] + 1j * y0[mc],
+                x1[mc] + 1j * y1[mc],
             ], axis=1)
             F = _factor_values(pts, self.factors, self.multiplier)
             self.evals += F.size
-            for i, key in enumerate(mass_keys):
-                mass, absmass, spread = mass_data[i]
-                fc = F[i, 0]
-                v = fc * mass
-                dF = float(np.max(np.abs(F[i, 1:] - fc)))
-                e = 0.5 * dF * absmass + 0.5 * spread * abs(fc)
-                out[key] = [v, e, "mass", (mass, absmass, spread)]
-        return out
+            fc = F[:, 0]
+            dF = np.max(np.abs(F[:, 1:] - fc[:, None]), axis=1)
+            live[mc] = True
+            value[mc] = fc * mass
+            err[mc] = 0.5 * dF * absmass + 0.5 * spread * np.hypot(fc.real, fc.imag)
+            sampled[mc] = spread > 0.0
+        live = np.flatnonzero(live)
+        return live, value[live], err[live], sampled[live]
+
+    def _masses(self, idx, x0, x1, y0, y1, statuses, grid_const, grid_straddle):
+        """(cells, mass, |mass|, spread) of the cells idx crossed by boundaries
+        that carry mass: exact where at most one curved boundary crosses,
+        else sampled.  Sampling can miss thin slivers between the samples, so
+        the spread is floored by the worst density range the straddling terms
+        could produce, which forces refinement there."""
+        x0, x1, y0, y1 = x0[idx], x1[idx], y0[idx], y1[idx]
+        statuses = [st[idx] for st in statuses]
+        area = (x1 - x0) * (y1 - y0)
+        curved = np.zeros(idx.size, dtype=np.int64)
+        for (region, _), st in zip(self.g.terms, statuses):
+            if region.curved:
+                curved += st == STRADDLE
+        exact = curved <= 1
+        mass, absmass, spread = np.zeros((3, idx.size))
+        for (region, coeff), st in zip(self.g.terms, statuses):
+            a = area.copy()
+            cut = np.flatnonzero(exact & (st == STRADDLE))
+            if cut.size:
+                a[cut] = region.cell_area(x0[cut], x1[cut], y0[cut], y1[cut])
+            on = exact & (st != OUTSIDE)
+            mass = np.where(on, mass + coeff * a, mass)
+            absmass = np.where(on, absmass + abs(coeff) * a, absmass)
+        grid = self.g.grid
+        if grid is not None:
+            gm = grid_const[idx] * area
+            cut = np.flatnonzero(exact & grid_straddle[idx])
+            if cut.size:
+                gm[cut] = grid.cell_mass(x0[cut], x1[cut], y0[cut], y1[cut])
+            mass = np.where(exact, mass + gm, mass)
+            absmass = np.where(exact, absmass + gm, absmass)
+        sub = np.flatnonzero(~exact)
+        if sub.size:
+            steps = np.arange(4) + 0.5
+            xs = x0[sub, None] + steps * (x1 - x0)[sub, None] / 4.0
+            ys = y0[sub, None] + steps * (y1 - y0)[sub, None] / 4.0
+            gv = eval_density(self.g, (xs[:, None, :] + 1j * ys[:, :, None]).reshape(-1, 16))
+            self.evals += gv.size
+            bound = np.zeros(sub.size)
+            for (_, coeff), st in zip(self.g.terms, statuses):
+                bound = np.where(st[sub] == STRADDLE, bound + abs(coeff), bound)
+            seen = gv.max(axis=1) - gv.min(axis=1)
+            mass[sub] = np.mean(gv, axis=1) * area[sub]
+            absmass[sub] = np.mean(np.abs(gv), axis=1) * area[sub]
+            spread[sub] = np.where(bound > seen, bound, seen) * area[sub]
+        keep = (absmass > 1e-300) | (spread > 1e-300)
+        return idx[keep], mass[keep], absmass[keep], spread[keep]
 
     def run(self, tol: float) -> tuple[complex, float]:
-        roots: list = []
         n0 = 1 << _INIT_DEPTH
-        for ix in range(n0):
-            for iy in range(n0):
-                self._materialize((_INIT_DEPTH, ix, iy), roots)
-        self.leaves = self._evaluate_batch(roots)
+        d, x, y, _ = self._materialize(np.full(n0 * n0, _INIT_DEPTH),
+                                       np.repeat(np.arange(n0), n0), np.tile(np.arange(n0), n0))
+        live, self.value, self.err, _ = self._evaluate(d, x, y)
+        self.depth, self.ix, self.iy = d[live], x[live], y[live]
         while self.evals < self.budget:
-            n = max(len(self.leaves), 1)
-            errs = np.array([rec[1] for rec in self.leaves.values()]) if self.leaves else np.zeros(0)
-            total_err = float(np.sum(np.sort(errs))) if errs.size else 0.0
+            n = max(self.err.size, 1)
+            total_err = float(np.sum(np.sort(self.err))) if self.err.size else 0.0
             if total_err <= tol:
                 break
             share = tol / (2.0 * n)
-            batch = sorted(
-                (k for k, rec in self.leaves.items() if rec[1] > share and k[0] < _MAX_DEPTH),
-                key=lambda k: (-self.leaves[k][1], k))
-            if not batch:
+            batch = np.flatnonzero((self.err > share) & (self.depth < _MAX_DEPTH))
+            if not batch.size:
                 break
-            batch = batch[:max(2048, len(self.leaves) // 2)]
-            child_lists: dict = {}
-            all_children: list = []
-            for key in batch:
-                depth, ix, iy = key
-                kids: list = []
-                for dx in (0, 1):
-                    for dy in (0, 1):
-                        self._materialize((depth + 1, 2 * ix + dx, 2 * iy + dy), kids)
-                child_lists[key] = kids
-                all_children.extend(kids)
-            created = self._evaluate_batch(all_children)
-            for key in batch:
-                parent = self.leaves.pop(key)
-                kid_sum = 0.0 + 0.0j
-                kids = [k for k in child_lists[key] if k in created]
-                for k in kids:
-                    kid_sum += created[k][0]
-                err_obs = abs(kid_sum - parent[0])
-                for k in kids:
-                    rec = created[k]
-                    base = 0.25 * err_obs
-                    if rec[2] == "mass" and rec[3][2] > 0.0:
-                        base = max(base, rec[1])
-                    rec[1] = base
-                    self.leaves[k] = rec
-        keys = sorted(self.leaves)
-        vals = np.array([self.leaves[k][0] for k in keys], dtype=complex)
-        errs = np.array([self.leaves[k][1] for k in keys], dtype=float)
-        value = complex(np.sum(vals)) if vals.size else 0.0 + 0.0j
-        err = float(np.sum(errs)) if errs.size else 0.0
+            # Largest error first, ties in index order; at most half the leaves
+            # (but at least 2048) per step.
+            batch = batch[np.lexsort((self.iy[batch], self.ix[batch], self.depth[batch],
+                                      -self.err[batch]))]
+            batch = batch[:max(2048, self.err.size // 2)]
+            d, x, y, src = self._materialize(
+                *self._children(self.depth[batch], self.ix[batch], self.iy[batch]))
+            live, value, err, sampled = self._evaluate(d, x, y)
+            # Each parent's children are summed in order; a quarter of the
+            # observed change is each child's error, unless a sampled child's
+            # own spread is larger.
+            owner = src[live] // 4
+            kid_sum = np.zeros(batch.size, dtype=complex)
+            np.add.at(kid_sum, owner, value)
+            change = kid_sum - self.value[batch]
+            base = 0.25 * np.hypot(change.real, change.imag)[owner]
+            rest = np.ones(self.err.size, dtype=bool)
+            rest[batch] = False
+            kids = (d[live], x[live], y[live], value, np.where(sampled & (err > base), err, base))
+            self.depth, self.ix, self.iy, self.value, self.err = (
+                np.concatenate((old[rest], new)) for old, new in
+                zip((self.depth, self.ix, self.iy, self.value, self.err), kids))
+        order = np.lexsort((self.iy, self.ix, self.depth))
+        value = complex(np.sum(self.value[order])) if order.size else 0.0 + 0.0j
+        err = float(np.sum(self.err[order])) if order.size else 0.0
         return value, err
 
 
@@ -634,7 +628,7 @@ def integrate_singular(g: DensitySpec, factors, tol: float, multiplier=None,
     tv, te = engine.run(tree_tol)
     value += tv
     err += te
-    cells += max(len(engine.leaves), 1)
+    cells += max(engine.err.size, 1)
     evals += engine.evals
     if err > tol * (1.0 + 1e-9):
         raise TolNotReached(
@@ -681,6 +675,25 @@ def _circles(g: DensitySpec):
             yield complex(region.cx, region.cy), region.r_outer
 
 
+def _lattices(g: DensitySpec):
+    """(xs, ys) of every axis-aligned lattice on whose lines g can jump: each
+    rectangle's two edge abscissae and ordinates, and the grid lines."""
+    for region, _ in g.terms:
+        if isinstance(region, Rectangle):
+            yield (region.x0, region.x1), (region.y0, region.y1)
+    grid = g.grid
+    if grid is not None:
+        yield ([grid.origin_x + k * grid.spacing for k in range(grid.nx + 1)],
+               [grid.origin_y + k * grid.spacing for k in range(grid.ny + 1)])
+
+
+def _meets(off: float, rho: float):
+    """Offsets along a line at distance off from a centre to its points at
+    distance rho > 0 from the centre."""
+    h = rho * rho - off * off
+    return (-math.sqrt(h), math.sqrt(h)) if rho > 0.0 and h >= 0.0 else ()
+
+
 def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
                   weight: str, tol: float) -> tuple[float, float]:
     """(value, error) of the integral of g times r^-2 ('invsq') or 1 ('mass')
@@ -688,11 +701,13 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
     exact radial columns.
 
     A column stops being smooth in the angle where a ray from c is tangent
-    to a circle of g, or meets one exactly at radius r_lo or r_hi.  The
-    angular rule breaks there: otherwise both of its levels can miss a thin
-    sliver of a circle's angular cone and agree on the miss.
+    to a circle of g, passes through a corner of a rectangle or a grid
+    vertex, or meets a circle, an edge or a grid line exactly at radius r_lo
+    or r_hi.  The angular rule breaks there: otherwise both of its levels can
+    miss a thin sliver of a kink and agree on the miss.
     """
     cx, cy = c.real, c.imag
+    tau = 2.0 * math.pi
     breaks = {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi}
     for o, radius in _circles(g):
         d = abs(o - c)
@@ -706,13 +721,25 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
                 if abs(cos_a) <= 1.0:
                     spreads.append(math.acos(cos_a))
         for a in spreads:
-            breaks.update(((phi + a) % (2.0 * math.pi), (phi - a) % (2.0 * math.pi)))
+            breaks.update(((phi + a) % tau, (phi - a) % tau))
+
+    for xs, ys in _lattices(g):
+        # corners and grid vertices in the annulus, and the points where
+        # edges and grid lines meet its circles
+        pts = [(x, y) for x in xs for y in ys
+               if r_lo <= (d := math.hypot(x - cx, y - cy)) <= r_hi and d > 0.0]
+        for rho in (r_lo, r_hi):
+            pts += [(x, cy + t) for x in xs for t in _meets(x - cx, rho)
+                    if ys[0] <= cy + t <= ys[-1]]
+            pts += [(cx + t, y) for y in ys for t in _meets(y - cy, rho)
+                    if xs[0] <= cx + t <= xs[-1]]
+        breaks.update(math.atan2(y - cy, x - cx) % tau for x, y in pts)
 
     def column(theta: float):
         v = _column_exact(g, cx, cy, math.cos(theta), math.sin(theta), r_lo, r_hi, weight)
         return v, 0.0, 1
 
-    v, e, _ = _adaptive_1d(column, sorted(breaks) + [2.0 * math.pi], tol)
+    v, e, _ = _adaptive_1d(column, sorted(breaks) + [tau], tol)
     return v.real, e
 
 

@@ -205,3 +205,37 @@ def test_annulus_density_profile():
     np.testing.assert_allclose(eval_density(g, 0.75 + 0j), 0.8)
     assert eval_density(g, 0.25 + 0j) == 0.0
     assert eval_density(g, 1.25 + 0j) == 0.0
+
+
+def _scalar_cell_mass(layer, x0, x1, y0, y1):
+    """Reference: the layer's mass over one rectangle in plain Python floats."""
+    s = layer.spacing
+    total = 0.0
+    for j in range(max(math.floor((y0 - layer.origin_y) / s), 0),
+                   min(math.ceil((y1 - layer.origin_y) / s), layer.ny)):
+        cy0 = layer.origin_y + j * s
+        h = min(y1, cy0 + s) - max(y0, cy0)
+        for i in range(max(math.floor((x0 - layer.origin_x) / s), 0),
+                       min(math.ceil((x1 - layer.origin_x) / s), layer.nx)):
+            cx0 = layer.origin_x + i * s
+            w = min(x1, cx0 + s) - max(x0, cx0)
+            if h > 0.0 and w > 0.0:
+                total += w * h * float(layer.values[j, i])
+    return total
+
+
+def test_grid_cell_mass_batch_equals_scalar_reference():
+    # rectangles inside, across and beyond the layer, some on its lines
+    values = np.array([[0.1, 0.3, 0.2], [0.4, 0.0, 0.6]])
+    layer = GridLayer(-0.3, -0.2, 0.2, values)
+    rng = Mcg64(9)
+    cells = [(-0.3, 0.3, -0.2, 0.2), (-0.1, 0.1, 0.0, 0.2), (0.3, 0.5, 0.0, 0.1),
+             (-0.5, -0.3, -0.4, 0.4), (-0.35, -0.05, -0.25, 0.05)]
+    for _ in range(300):
+        x0, y0 = rng.uniform() - 0.6, rng.uniform() - 0.5
+        cells.append((x0, x0 + 0.6 * rng.uniform(), y0, y0 + 0.6 * rng.uniform()))
+    got = layer.cell_mass(*(np.array(v) for v in zip(*cells)))
+    want = np.array([_scalar_cell_mass(layer, *cell) for cell in cells])
+    assert got.tobytes() == want.tobytes()
+    assert np.ndim(layer.cell_mass(*cells[0])) == 0
+    np.testing.assert_allclose(got[0], 0.04 * values.sum(), rtol=1e-15)

@@ -120,3 +120,120 @@ def test_within_disc():
     assert Disk(0.0, 0.0, 1.0).within_disc(0.0, 0.0, 1.0)
     assert not Disk(0.5, 0.0, 0.6).within_disc(0.0, 0.0, 1.0)
     assert Annulus(0.1, 0.0, 0.2, 0.5).within_disc(0.0, 0.0, 0.7)
+
+
+def _scalar_disk_rect_area(cx, cy, r, x0, x1, y0, y1):
+    """Reference: the disc-rectangle area in plain Python float arithmetic."""
+    if r <= 0.0:
+        return 0.0
+    lo, hi = max(x0, cx - r), min(x1, cx + r)
+    if lo >= hi:
+        return 0.0
+
+    def prim(x):
+        t = min(1.0, max(-1.0, (x - cx) / r))
+        return 0.5 * (r * r * math.asin(t) + (x - cx) * math.sqrt(max(r * r - (x - cx) ** 2, 0.0)))
+
+    xs = [lo, hi]
+    for yb in (y0 - cy, y1 - cy):
+        if abs(yb) < r:
+            d = math.sqrt(r * r - yb * yb)
+            xs += [x for x in (cx - d, cx + d) if lo < x < hi]
+    xs.sort()
+    total = 0.0
+    for a, b in zip(xs[:-1], xs[1:]):
+        if b - a <= 0.0:
+            continue
+        s = math.sqrt(max(r * r - (0.5 * (a + b) - cx) ** 2, 0.0))
+        if min(cy + s, y1) <= max(cy - s, y0):
+            continue
+        upper = cy * (b - a) + (prim(b) - prim(a)) if cy + s < y1 else y1 * (b - a)
+        lower = cy * (b - a) - (prim(b) - prim(a)) if cy - s > y0 else y0 * (b - a)
+        total += upper - lower
+    return max(total, 0.0)
+
+
+def _scalar_disk_classify(cx, cy, r, x0, x1, y0, y1):
+    """Reference: a disc's cell classification in plain Python floats."""
+    ndx, ndy = max(x0 - cx, 0.0, cx - x1), max(y0 - cy, 0.0, cy - y1)
+    if ndx * ndx + ndy * ndy >= r * r:
+        return OUTSIDE
+    fdx, fdy = max(x1 - cx, cx - x0), max(y1 - cy, cy - y0)
+    return INSIDE if fdx * fdx + fdy * fdy <= r * r else STRADDLE
+
+
+def _edge_cells(cx, cy, r):
+    """Cells tangent to the circle, cells on its extreme lines, cells
+    through its centre, and zero-width overlaps with its bounding box."""
+    out = []
+    for a, b in ((cx - r, cx + r), (cx - r, cx), (cx + r, cx + 2 * r), (cx - 2 * r, cx - r),
+                 (cx - 0.5 * r, cx + 0.25 * r), (cx - r, cx - r + 1e-12)):
+        for c, d in ((cy - r, cy + r), (cy + r, cy + 2 * r), (cy - 0.3 * r, cy + 0.9 * r),
+                     (cy, cy + r), (cy - 2 * r, cy - r)):
+            out.append((a, b, c, d))
+    return out
+
+
+def _cells(rng, n):
+    out = []
+    for _ in range(n):
+        x0 = 3.0 * rng.uniform() - 1.5
+        y0 = 3.0 * rng.uniform() - 1.5
+        size = 10.0 ** (-3.0 * rng.uniform())
+        out.append((x0, x0 + size, y0, y0 + size * (0.5 + rng.uniform())))
+    return out
+
+
+def test_cell_queries_batch_equals_scalar_bit_for_bit():
+    regions = [Disk(0.1, -0.2, 0.8), Disk(0.25, 0.0, 0.0625), Annulus(0.0, 0.1, 0.4, 0.9),
+               Annulus(-0.3, 0.2, 0.0, 0.45), Rectangle(-0.5, -0.4, 0.6, 0.3)]
+    cells = _cells(Mcg64(17), 400)
+    for region in regions:
+        if isinstance(region, Rectangle):
+            edges = [(region.x1, region.x1 + 0.1, 0.0, 0.1), (region.x0 - 0.1, region.x0, -0.4, 0.3),
+                     (0.0, 0.1, region.y1, region.y1 + 0.2), (region.x0, region.x1, region.y0, region.y1)]
+        else:
+            rr = [region.r] if isinstance(region, Disk) else [region.r_inner, region.r_outer]
+            edges = [c for r in rr for c in _edge_cells(region.cx, region.cy, r)]
+        batch = cells + edges
+        x0, x1, y0, y1 = (np.array(v) for v in zip(*batch))
+        kinds = region.classify_cell(x0, x1, y0, y1)
+        areas = region.cell_area(x0, x1, y0, y1)
+        assert kinds.shape == areas.shape == (len(batch),)
+        if isinstance(region, Disk):
+            assert kinds.tolist() == [_scalar_disk_classify(region.cx, region.cy, region.r, *c)
+                                      for c in batch]
+        for k, cell in enumerate(batch):
+            assert kinds[k] == region.classify_cell(*cell)
+            assert areas[k].tobytes() == np.asarray(region.cell_area(*cell)).tobytes()
+            assert np.ndim(region.classify_cell(*cell)) == np.ndim(region.cell_area(*cell)) == 0
+
+
+def _boundary_cells(rng, cx, cy, r, n):
+    """n cells of random size and aspect centred near the circle |u-c| = r."""
+    th, jit, size, asp = (rng.uniforms(n) for _ in range(4))
+    xm = cx + r * np.cos(2.0 * math.pi * th) + 0.01 * (jit - 0.5)
+    ym = cy + r * np.sin(2.0 * math.pi * th)
+    hx = 0.5 * 10.0 ** (-4.0 * size)
+    hy = hx * (0.5 + asp)
+    return list(zip(xm - hx, xm + hx, ym - hy, ym + hy))
+
+
+def test_disk_rect_area_batch_equals_scalar_reference():
+    # the last bit depends on taking asin and the square as Python floats
+    # do (math.asin, C pow); a few in 10^4 straddling cells show it
+    rng = Mcg64(23)
+    discs = [(0.1, -0.2, 0.8), (0.25, 0.0, 0.0625), (-0.3, 0.2, 0.0), (0.5, 0.5, 1e-9)]
+    rows = []
+    for cx, cy, r in discs:
+        cells = _cells(rng, 200) + _edge_cells(cx, cy, r) + _boundary_cells(rng, cx, cy, r, 12000)
+        rows += [(cx, cy, r) + cell for cell in cells]
+    cols = [np.array(v) for v in zip(*rows)]
+    got = disk_rect_area(*cols)
+    want = np.array([_scalar_disk_rect_area(*row) for row in rows])
+    assert got.tobytes() == want.tobytes()
+    # scalars in, 0-d out; a scalar disc broadcasts over arrays of cells
+    assert np.ndim(disk_rect_area(*rows[0])) == 0
+    n = 300
+    assert (disk_rect_area(*discs[0], *(c[:n] for c in cols[3:])).tobytes()
+            == want[:n].tobytes())

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from expkernel.density import (Mcg64, annulus_density, disc_density,
-                               make_density, unit_disc_density)
-from expkernel.geometry import Annulus, Disk
+from expkernel.cauchy import make_transform
+from expkernel.density import (GridLayer, Mcg64, annulus_density, disc_density,
+                               make_density, swiss_cheese, unit_disc_density)
+from expkernel.geometry import Annulus, Disk, Rectangle, disk_rect_area
 from expkernel.quadrature import (InvalidPointError, TolNotReached,
                                   ToleranceError, cauchy_transform, disc_mass,
                                   integrate_bi_singular, integrate_diagonal,
@@ -152,6 +153,34 @@ def test_disc_mass_lens_estimate_bounds_error():
     assert abs(mass - sum(terms)) <= err + rounding
 
 
+RECT = (-0.5, -0.3, 0.4, 0.2)
+GRID_VALUES = np.array([[0.1, 0.3, 0.2, 0.5], [0.4, 0.0, 0.6, 0.2],
+                        [0.3, 0.5, 0.1, 0.4], [0.2, 0.1, 0.5, 0.3]])
+
+
+@pytest.mark.parametrize("c", [0.405 + 0j, 0.405 + 0.205j])
+def test_disc_mass_rectangle_edge_and_corner_estimate_bounds_error(c):
+    # a small disc across a rectangle's edge or corner: the columns have
+    # kinks where rays pass the corner or meet an edge at the disc radius
+    rho = 1.0 / 64.0
+    g = make_density(0j, 1.0, [(Rectangle(*RECT), 1.0)])
+    mass, err = disc_mass(g, c, rho, 1e-9)
+    exact = disk_rect_area(c.real, c.imag, rho, RECT[0], RECT[2], RECT[1], RECT[3])
+    assert abs(mass - exact) <= err
+
+
+def test_disc_mass_grid_vertex_estimate_bounds_error():
+    # a small disc over a grid vertex, centred on a grid line
+    rho, c = 1.0 / 64.0, 0.005 + 0j
+    g = make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES))
+    mass, err = disc_mass(g, c, rho, 1e-9)
+    exact = sum(GRID_VALUES[j, i] * disk_rect_area(c.real, c.imag, rho,
+                                                   -0.4 + 0.2 * i, -0.2 + 0.2 * i,
+                                                   -0.4 + 0.2 * j, -0.2 + 0.2 * j)
+                for j in range(4) for i in range(4))
+    assert abs(mass - exact) <= err
+
+
 def test_radial_inverse_square_unit_disc():
     total, err = radial_inverse_square_integral(UNIT, 0j, 0.25, 1.0, 1e-9)
     np.testing.assert_allclose(total, 2.0 * math.log(4.0), rtol=1e-8)
@@ -196,3 +225,44 @@ def test_error_estimates_are_honest():
         closed = {0.5 + 0j: math.log(0.25), 2.0 + 0j: math.log(5.0 / 6.0)}[lam]
         assert abs(res.value - closed) <= res.error_estimate + 1e-12
         assert res.error_estimate <= 1e-5 * (1 + 1e-9)
+
+
+def _bi(w, lam):
+    return [("recip_conj", w), ("recip", lam)]
+
+
+PIN_CASES = {
+    "disc": (lambda: disc_density(0.2 + 0.1j, 0.7), _bi(0.1 + 0.2j, 0.5 - 0.1j), 1e-5, {},
+             "((2.4199040830333383+0.058171019941530976j), 3.2178394908163583e-06, 28117, 683477)"),
+    "swiss_cheese": (lambda: swiss_cheese(0, 4), _bi(-0.1 + 0.4j, 0.3 + 0.2j), 1e-4, {},
+                     "((4.482349816945633+0.30984801699919173j), 3.821438001786457e-05, 21474, 519202)"),
+    "disc_and_annulus": (
+        lambda: make_density(0j, 2.0, [(Disk(0.17, 0.23, 0.63), 0.49),
+                                       (Annulus(0.12, 0.20, 0.38, 0.77), 0.50)]),
+        _bi(-0.3 + 0.1j, 0.2 + 0.5j), 1e-4, {},
+        "((1.569844151996323+0.000787764161243959j), 2.554524940067608e-05, 66244, 1708141)"),
+    "rectangle_and_grid": (
+        lambda: make_density(0j, 1.0, [(Rectangle(*RECT), 0.4)],
+                             GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)),
+        _bi(-0.35 + 0.05j, 0.15 - 0.25j), 1e-4, {},
+        "((-0.5227004573633132-0.7648772760412038j), 4.619206348519035e-05, 30610, 829493)"),
+    "grid_only": (lambda: make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)),
+                  _bi(0.1 + 0.05j, -0.2 + 0.3j), 1e-4, {},
+                  "((0.43320345533253346-0.34729589520359583j), 3.154820130665284e-05, 22428, 610416)"),
+    "near_diagonal": (lambda: UNIT, _bi(0.3 + 0.2j, 0.30001 + 0.2j), 1e-4, {},
+                      "((71.9003228674432+7.2220891030871925e-06j), 1.3702584682278632e-05, 15159, 385162)"),
+    "multiplier": (lambda: UNIT, [("recip", 0.4 + 0.1j)], 1e-5,
+                   {"multiplier": make_transform(disc_density(0.3 - 0.2j, 0.5))},
+                   "((-0.12566370726556306-0.09424778110618273j), 3.4872328364212307e-06, 21105, 577096)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CASES))
+def test_engine_results_pinned(name):
+    # value, estimate, cells and evaluations of the quadtree engine, pinned
+    # to the last bit: the cases cover constant, exact-mass, sampled and
+    # grid-straddle cells, a block split one cell from the diagonal, and a
+    # multiplier integrand.  The last bits depend on the numpy and libm build.
+    density, factors, tol, kw, want = PIN_CASES[name]
+    r = integrate_singular(density(), factors, tol, **kw)
+    assert repr((r.value, r.error_estimate, r.cells, r.evaluations)) == want
