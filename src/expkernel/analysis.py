@@ -89,7 +89,7 @@ def estimate_density(g: DensitySpec, w: complex, schedule: RadialSchedule | None
                      tol: float = 1e-6) -> float:
     """Average of the last three disc-mass ratios (1/pi r^2) ∫_{D(w,r)} g dA.
 
-    Raises NonConvergent when the last three ratios spread more than 0.05.
+    Raises NonConvergent when the last three ratios range over more than 0.05.
     """
     w = complex(w)
     if schedule is None:

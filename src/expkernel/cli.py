@@ -2,9 +2,10 @@
 verification suites, and run the pointwise estimators.
 
 Exit codes: 0 success, 1 failed verification check, 2 configuration or
-argument violation, 3 tolerance violation (non-positive tolerance, or the
-quadrature budget ran out above tolerance), 4 estimator precondition or
-convergence failure.  Identical invocations produce byte-identical output.
+argument violation, 3 tolerance violation (a tolerance that is not positive
+and finite, or the quadrature budget ran out above tolerance), 4 estimator
+precondition or convergence failure.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .analysis import NonConvergent, PreconditionFailed, estimate_density, \
 from .density import DensityConfigError, DensitySpec, PlacementError, \
     load_density_file, make_density, swiss_cheese, unit_disc_density
 from .kernel import DIAGONAL_DIVERGENT, eval_E
-from .quadrature import TolNotReached, ToleranceError
+from .quadrature import TolNotReached, ToleranceError, _check_tol
 from .suites import SUITES
 
 __all__ = ["main", "build_parser"]
@@ -75,17 +76,9 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}j"
 
 
-def _require_tol(tol: float | None, default: float | None) -> float | None:
-    if tol is None:
-        return default
-    if not (tol > 0.0):
-        raise ToleranceError(f"tolerance must be positive, got {tol}")
-    return tol
-
-
 def cmd_eval(args) -> int:
     g = _load_density(args.density, args.seed)
-    tol = _require_tol(args.tol, 1e-6)
+    tol = _check_tol(args.tol)
     kv = eval_E(g, args.lam, args.w, tol)
     if kv.diagonal_case == DIAGONAL_DIVERGENT:
         print("value: 0 (diagonal divergent)")
@@ -98,7 +91,7 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     g = _load_density(args.density, args.seed)
-    tol = _require_tol(args.tol, 1e-6)
+    tol = _check_tol(args.tol)
     if args.n < 2:
         raise DensityConfigError(f"grid size must be >= 2, got {args.n}")
     x0, x1, y0, y1 = args.bounds
@@ -123,7 +116,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = SUITES[args.suite](_require_tol(args.tol, None))
+    report = SUITES[args.suite](None if args.tol is None else _check_tol(args.tol))
     for c in report.checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
               f"residual {c.residual:.3e} (threshold {c.threshold:.1e})")
@@ -133,7 +126,7 @@ def cmd_verify(args) -> int:
 
 def cmd_estimate(args) -> int:
     g = _load_density(args.density, args.seed)
-    tol = _require_tol(args.tol, 1e-6)
+    tol = _check_tol(args.tol)
     if args.mode == "gamma":
         gam = estimate_density(g, args.w, tol=tol)
         print(f"gamma_hat = {gam:.6f}")
@@ -156,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("density",
                             help="JSON density config path, or one of the "
                                  "literals: unit-disc, zero, swiss-cheese")
-        sp.add_argument("--tol", type=float, default=None,
+        sp.add_argument("--tol", type=float, default=1e-6 if density else None,
                         help="quadrature tolerance (default 1e-6)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for the swiss-cheese density literal")

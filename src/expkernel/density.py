@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Annulus, Disk, Rectangle, Region
+from .geometry import Annulus, Disk, Rectangle, Region, _line_crossing
 
 _MASK64 = (1 << 64) - 1
 
@@ -130,17 +130,9 @@ class GridLayer:
     def ray_crossings(self, sx: float, sy: float, ct: float, st: float) -> list[float]:
         out: list[float] = []
         for k in range(self.nx + 1):
-            x = self.origin_x + k * self.spacing
-            if abs(ct) > 1e-14:
-                t = (x - sx) / ct
-                if t > 0.0:
-                    out.append(t)
+            out += _line_crossing(sx, self.origin_x + k * self.spacing, ct)
         for k in range(self.ny + 1):
-            y = self.origin_y + k * self.spacing
-            if abs(st) > 1e-14:
-                t = (y - sy) / st
-                if t > 0.0:
-                    out.append(t)
+            out += _line_crossing(sy, self.origin_y + k * self.spacing, st)
         return out
 
 
@@ -268,7 +260,7 @@ _VALIDATION_SEED = 1
 
 
 def validate(g: DensitySpec) -> DensitySpec:
-    """Check structural constraints and the sampled range/support invariants.
+    """Check the structure of g, and its range and support at sample points.
 
     Raises DensityConfigError with the first offending point when a sample
     violates 0 <= g <= 1 inside the support disc or g = 0 outside it.

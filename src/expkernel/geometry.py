@@ -124,8 +124,6 @@ class Disk:
     cy: float
     r: float
 
-    curved = True
-
     def contains(self, u):
         re = np.real(u) - self.cx
         im = np.imag(u) - self.cy
@@ -163,8 +161,6 @@ class Annulus:
     cy: float
     r_inner: float
     r_outer: float
-
-    curved = True
 
     def contains(self, u):
         re = np.real(u) - self.cx
@@ -204,8 +200,6 @@ class Rectangle:
     y0: float
     x1: float
     y1: float
-
-    curved = False
 
     def contains(self, u):
         re = np.real(u)

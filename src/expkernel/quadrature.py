@@ -14,9 +14,11 @@ bounded multiplier and g is a DensitySpec.  Strategy:
   cross the ray, so the indicator part of g never crosses a quadrature panel;
 * the remainder is covered by an adaptive quadtree whose cells are classified
   geometrically against every region: cells on which g is constant use a
-  tensor 5-point Gauss-Legendre rule, cells straddling at most one curved
-  boundary use the exact intersection area with a midpoint value of the
-  smooth part, and refinement is driven by two-level differences;
+  tensor 5-point Gauss-Legendre rule, cells crossed by boundaries take the
+  exact mass of g on the cell times the smooth part at the centre, and
+  refinement is driven by two-level differences.  g is linear in its terms,
+  so that mass is each coefficient times the exact area of its region in
+  the cell, plus the grid's exact cell mass, however many boundaries cross;
 * the quadtree keeps its leaves as parallel numpy arrays (index, value,
   error), and each refinement step classifies, intersects, evaluates and
   sums one whole batch of cells as array operations;
@@ -116,6 +118,8 @@ _INIT_DEPTH = 2
 # divergence; _MAX_OCTAVES bounds the descent.
 _DIVERGENCE_THRESHOLD = 40.0
 _MAX_OCTAVES = 1000
+# Rounding bound of an exact radial column, per unit of its operands' size.
+_ROUNDING = 4.0 * math.ulp(1.0)
 
 
 def _factor_values(pts: np.ndarray, factors: tuple[Factor, ...], multiplier) -> np.ndarray:
@@ -165,15 +169,25 @@ def _ray_segments(g: DensitySpec, sx: float, sy: float, ct: float, st: float,
 
 
 def _column_exact(g: DensitySpec, sx: float, sy: float, ct: float, st: float,
-                  r_lo: float, r_hi: float, weight: str) -> float:
-    """Exact radial integral of g times r ('mass') or 1/r ('invsq')."""
+                  r_lo: float, r_hi: float, weight: str) -> tuple[float, float]:
+    """Exact radial integral of g times r ('mass') or 1/r ('invsq'), and a
+    bound on its rounding error.
+
+    Each segment's term rounds in proportion to the size of its operands,
+    not of the term: b*b - a*a cancels when a is near b, and log(b/a) keeps
+    an absolute error of one ulp of b/a.
+    """
     total = 0.0
+    size = 0.0
     for a, b, gv in _ray_segments(g, sx, sy, ct, st, r_lo, r_hi):
         if weight == "mass":
             total += gv * 0.5 * (b * b - a * a)
+            size += abs(gv) * 0.5 * (b * b + a * a)
         else:
-            total += gv * math.log(b / a)
-    return total
+            term = gv * math.log(b / a)
+            total += term
+            size += abs(gv) + abs(term)
+    return total, _ROUNDING * size
 
 
 def _column_gl(g: DensitySpec, s: complex, ct: float, st: float, r_hi: float,
@@ -424,11 +438,11 @@ class _Engine:
 
     def _evaluate(self, depth, ix, iy):
         """Classify and evaluate a batch of cells in one pass: the indices of
-        the cells that carry mass, with their values, errors and sampled flags.
+        the cells that carry mass, with their values and errors.
 
         Constant cells take the 5x5 tensor rule, its centre node as the coarse
-        level; cells crossed by boundaries take their mass times the
-        integrand at the centre, the spread to the corners as the error."""
+        level; cells crossed by boundaries take their exact mass times the
+        integrand at the centre, the largest change to a corner as the error."""
         n = depth.size
         h = 2.0 * self.half / (1 << depth)
         x0 = self.cx - self.half + ix * h
@@ -451,14 +465,13 @@ class _Engine:
         const = ~grid_straddle
         for st in statuses:
             const &= st != STRADDLE
-        mc, mass, absmass, spread = self._masses(np.flatnonzero(~const), x0, x1, y0, y1,
-                                                 statuses, gc, grid_straddle)
+        mc, mass, absmass = self._masses(np.flatnonzero(~const), x0, x1, y0, y1,
+                                         statuses, gc, grid_straddle)
         for (_, coeff), st in zip(self.g.terms, statuses):
             gc = np.where(st == INSIDE, gc + coeff, gc)
         live = np.zeros(n, dtype=bool)
         value = np.zeros(n, dtype=complex)
         err = np.zeros(n)
-        sampled = np.zeros(n, dtype=bool)
         cc = np.flatnonzero(const & (gc != 0.0))
         if cc.size:
             xm = 0.5 * (x0[cc] + x1[cc])
@@ -489,64 +502,43 @@ class _Engine:
             dF = np.max(np.abs(F[:, 1:] - fc[:, None]), axis=1)
             live[mc] = True
             value[mc] = fc * mass
-            err[mc] = 0.5 * dF * absmass + 0.5 * spread * np.hypot(fc.real, fc.imag)
-            sampled[mc] = spread > 0.0
+            err[mc] = 0.5 * dF * absmass
         live = np.flatnonzero(live)
-        return live, value[live], err[live], sampled[live]
+        return live, value[live], err[live]
 
     def _masses(self, idx, x0, x1, y0, y1, statuses, grid_const, grid_straddle):
-        """(cells, mass, |mass|, spread) of the cells idx crossed by boundaries
-        that carry mass: exact where at most one curved boundary crosses,
-        else sampled.  Sampling can miss thin slivers between the samples, so
-        the spread is floored by the worst density range the straddling terms
-        could produce, which forces refinement there."""
+        """(cells, mass, |mass|) of the cells idx crossed by boundaries that
+        carry mass.  g is linear in its terms, so the mass is exact however
+        many boundaries cross a cell: each coefficient times the area of its
+        region in the cell, plus the grid's mass there."""
         x0, x1, y0, y1 = x0[idx], x1[idx], y0[idx], y1[idx]
-        statuses = [st[idx] for st in statuses]
         area = (x1 - x0) * (y1 - y0)
-        curved = np.zeros(idx.size, dtype=np.int64)
-        for (region, _), st in zip(self.g.terms, statuses):
-            if region.curved:
-                curved += st == STRADDLE
-        exact = curved <= 1
-        mass, absmass, spread = np.zeros((3, idx.size))
+        mass, absmass = np.zeros((2, idx.size))
         for (region, coeff), st in zip(self.g.terms, statuses):
+            st = st[idx]
             a = area.copy()
-            cut = np.flatnonzero(exact & (st == STRADDLE))
+            cut = np.flatnonzero(st == STRADDLE)
             if cut.size:
                 a[cut] = region.cell_area(x0[cut], x1[cut], y0[cut], y1[cut])
-            on = exact & (st != OUTSIDE)
+            on = st != OUTSIDE
             mass = np.where(on, mass + coeff * a, mass)
             absmass = np.where(on, absmass + abs(coeff) * a, absmass)
         grid = self.g.grid
         if grid is not None:
             gm = grid_const[idx] * area
-            cut = np.flatnonzero(exact & grid_straddle[idx])
+            cut = np.flatnonzero(grid_straddle[idx])
             if cut.size:
                 gm[cut] = grid.cell_mass(x0[cut], x1[cut], y0[cut], y1[cut])
-            mass = np.where(exact, mass + gm, mass)
-            absmass = np.where(exact, absmass + gm, absmass)
-        sub = np.flatnonzero(~exact)
-        if sub.size:
-            steps = np.arange(4) + 0.5
-            xs = x0[sub, None] + steps * (x1 - x0)[sub, None] / 4.0
-            ys = y0[sub, None] + steps * (y1 - y0)[sub, None] / 4.0
-            gv = eval_density(self.g, (xs[:, None, :] + 1j * ys[:, :, None]).reshape(-1, 16))
-            self.evals += gv.size
-            bound = np.zeros(sub.size)
-            for (_, coeff), st in zip(self.g.terms, statuses):
-                bound = np.where(st[sub] == STRADDLE, bound + abs(coeff), bound)
-            seen = gv.max(axis=1) - gv.min(axis=1)
-            mass[sub] = np.mean(gv, axis=1) * area[sub]
-            absmass[sub] = np.mean(np.abs(gv), axis=1) * area[sub]
-            spread[sub] = np.where(bound > seen, bound, seen) * area[sub]
-        keep = (absmass > 1e-300) | (spread > 1e-300)
-        return idx[keep], mass[keep], absmass[keep], spread[keep]
+            mass = mass + gm
+            absmass = absmass + gm
+        keep = absmass > 1e-300
+        return idx[keep], mass[keep], absmass[keep]
 
     def run(self, tol: float) -> tuple[complex, float]:
         n0 = 1 << _INIT_DEPTH
         d, x, y, _ = self._materialize(np.full(n0 * n0, _INIT_DEPTH),
                                        np.repeat(np.arange(n0), n0), np.tile(np.arange(n0), n0))
-        live, self.value, self.err, _ = self._evaluate(d, x, y)
+        live, self.value, self.err = self._evaluate(d, x, y)
         self.depth, self.ix, self.iy = d[live], x[live], y[live]
         while self.evals < self.budget:
             n = max(self.err.size, 1)
@@ -564,18 +556,17 @@ class _Engine:
             batch = batch[:max(2048, self.err.size // 2)]
             d, x, y, src = self._materialize(
                 *self._children(self.depth[batch], self.ix[batch], self.iy[batch]))
-            live, value, err, sampled = self._evaluate(d, x, y)
+            live, value, _ = self._evaluate(d, x, y)
             # Each parent's children are summed in order; a quarter of the
-            # observed change is each child's error, unless a sampled child's
-            # own spread is larger.
+            # observed change is each child's error.
             owner = src[live] // 4
             kid_sum = np.zeros(batch.size, dtype=complex)
             np.add.at(kid_sum, owner, value)
             change = kid_sum - self.value[batch]
-            base = 0.25 * np.hypot(change.real, change.imag)[owner]
+            err = 0.25 * np.hypot(change.real, change.imag)[owner]
             rest = np.ones(self.err.size, dtype=bool)
             rest[batch] = False
-            kids = (d[live], x[live], y[live], value, np.where(sampled & (err > base), err, base))
+            kids = (d[live], x[live], y[live], value, err)
             self.depth, self.ix, self.iy, self.value, self.err = (
                 np.concatenate((old[rest], new)) for old, new in
                 zip((self.depth, self.ix, self.iy, self.value, self.err), kids))
@@ -704,7 +695,8 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
     to a circle of g, passes through a corner of a rectangle or a grid
     vertex, or meets a circle, an edge or a grid line exactly at radius r_lo
     or r_hi.  The angular rule breaks there: otherwise both of its levels can
-    miss a thin sliver of a kink and agree on the miss.
+    miss a thin sliver of a kink and agree on the miss.  Each column's
+    rounding bound enters the error as the rule's node error.
     """
     cx, cy = c.real, c.imag
     tau = 2.0 * math.pi
@@ -714,13 +706,13 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
         if radius <= 0.0 or d == 0.0:
             continue
         phi = math.atan2(o.imag - cy, o.real - cx)
-        spreads = [math.asin(radius / d)] if radius <= d else []
+        halves = [math.asin(radius / d)] if radius <= d else []
         for rho in (r_lo, r_hi):
             if rho > 0.0:
                 cos_a = (rho * rho + d * d - radius * radius) / (2.0 * rho * d)
                 if abs(cos_a) <= 1.0:
-                    spreads.append(math.acos(cos_a))
-        for a in spreads:
+                    halves.append(math.acos(cos_a))
+        for a in halves:
             breaks.update(((phi + a) % tau, (phi - a) % tau))
 
     for xs, ys in _lattices(g):
@@ -736,8 +728,8 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
         breaks.update(math.atan2(y - cy, x - cx) % tau for x, y in pts)
 
     def column(theta: float):
-        v = _column_exact(g, cx, cy, math.cos(theta), math.sin(theta), r_lo, r_hi, weight)
-        return v, 0.0, 1
+        v, e = _column_exact(g, cx, cy, math.cos(theta), math.sin(theta), r_lo, r_hi, weight)
+        return v, e, 1
 
     v, e, _ = _adaptive_1d(column, sorted(breaks) + [tau], tol)
     return v.real, e

@@ -1,4 +1,6 @@
+import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from expkernel.cauchy import make_transform
 from expkernel.density import (GridLayer, Mcg64, annulus_density, disc_density,
                                make_density, swiss_cheese, unit_disc_density)
 from expkernel.geometry import Annulus, Disk, Rectangle, disk_rect_area
+from expkernel.kernel import eval_E_disc
 from expkernel.quadrature import (InvalidPointError, TolNotReached,
                                   ToleranceError, cauchy_transform, disc_mass,
                                   integrate_bi_singular, integrate_diagonal,
@@ -30,8 +33,8 @@ def test_plain_mass_annulus():
 
 
 def test_plain_mass_overlapping_curved_regions():
-    # overlapping disk + annulus: cells crossed by two curved boundaries
-    # take the sampled path; thin slivers must not be dropped
+    # overlapping disk + annulus: cells crossed by both boundaries take the
+    # sum of the two exact intersection areas; thin slivers must not be dropped
     g = make_density(0j, 2.0, [
         (Disk(0.17, 0.23, 0.63), 0.49),
         (Annulus(0.12, 0.20, 0.38, 0.77), 0.50),
@@ -40,6 +43,17 @@ def test_plain_mass_overlapping_curved_regions():
     res = integrate_singular(g, [], tol=1e-9)
     np.testing.assert_allclose(res.value.real, exact, rtol=0, atol=1e-9)
     assert res.error_estimate <= 1e-9 * (1 + 1e-9)
+
+
+def test_overlapping_discs_reach_tolerance():
+    # two overlapping discs with lam and w inside both: the exponent is
+    # linear in g, so it is the coefficient-weighted sum of disc closed forms
+    discs = [(-0.35 - 0.2j, 0.6, 0.4), (-0.4 - 0.1j, 0.55, 0.4)]
+    g = make_density(0j, 1.5, [(Disk(c.real, c.imag, r), k) for c, r, k in discs])
+    lam, w = -0.1j, -0.25 - 0.1j
+    res = integrate_bi_singular(g, w, lam, 1e-5)
+    exact = sum(k * cmath.log(eval_E_disc(c, r, lam, w)) for c, r, k in discs)
+    assert abs(res.value - exact) <= res.error_estimate <= 1e-5 * (1 + 1e-9)
 
 
 def test_bi_singular_against_oracle_interior_w():
@@ -170,7 +184,9 @@ def test_disc_mass_rectangle_edge_and_corner_estimate_bounds_error(c):
 
 
 def test_disc_mass_grid_vertex_estimate_bounds_error():
-    # a small disc over a grid vertex, centred on a grid line
+    # a small disc over a grid vertex, centred on a grid line; then centred
+    # on the vertex -0.2-0.2j, where it is four quarter discs and the
+    # estimate must cover the rounding of the columns (40-digit reference)
     rho, c = 1.0 / 64.0, 0.005 + 0j
     g = make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES))
     mass, err = disc_mass(g, c, rho, 1e-9)
@@ -179,6 +195,12 @@ def test_disc_mass_grid_vertex_estimate_bounds_error():
                                                    -0.4 + 0.2 * j, -0.2 + 0.2 * j)
                 for j in range(4) for i in range(4))
     assert abs(mass - exact) <= err
+    mass, err = disc_mass(g, -0.2 - 0.2j, rho, 1e-9)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = Decimal("3.141592653589793238462643383279502884197")
+        quarters = sum(Decimal(v) for v in GRID_VALUES[:2, :2].ravel())
+        assert abs(Decimal(mass) - pi * Decimal(rho) ** 2 / 4 * quarters) <= Decimal(err)
 
 
 def test_radial_inverse_square_unit_disc():
@@ -235,12 +257,12 @@ PIN_CASES = {
     "disc": (lambda: disc_density(0.2 + 0.1j, 0.7), _bi(0.1 + 0.2j, 0.5 - 0.1j), 1e-5, {},
              "((2.4199040830333383+0.058171019941530976j), 3.2178394908163583e-06, 28117, 683477)"),
     "swiss_cheese": (lambda: swiss_cheese(0, 4), _bi(-0.1 + 0.4j, 0.3 + 0.2j), 1e-4, {},
-                     "((4.482349816945633+0.30984801699919173j), 3.821438001786457e-05, 21474, 519202)"),
+                     "((4.482349816945633+0.30984801699919173j), 3.821438001786457e-05, 21474, 519042)"),
     "disc_and_annulus": (
         lambda: make_density(0j, 2.0, [(Disk(0.17, 0.23, 0.63), 0.49),
                                        (Annulus(0.12, 0.20, 0.38, 0.77), 0.50)]),
         _bi(-0.3 + 0.1j, 0.2 + 0.5j), 1e-4, {},
-        "((1.569844151996323+0.000787764161243959j), 2.554524940067608e-05, 66244, 1708141)"),
+        "((1.569844151996323+0.000787764161243959j), 2.554524940067608e-05, 66244, 1707629)"),
     "rectangle_and_grid": (
         lambda: make_density(0j, 1.0, [(Rectangle(*RECT), 0.4)],
                              GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)),
@@ -260,9 +282,10 @@ PIN_CASES = {
 @pytest.mark.parametrize("name", sorted(PIN_CASES))
 def test_engine_results_pinned(name):
     # value, estimate, cells and evaluations of the quadtree engine, pinned
-    # to the last bit: the cases cover constant, exact-mass, sampled and
-    # grid-straddle cells, a block split one cell from the diagonal, and a
-    # multiplier integrand.  The last bits depend on the numpy and libm build.
+    # to the last bit: the cases cover constant cells, exact-mass cells crossed
+    # by one or two boundaries, grid-straddle cells, a block split one cell
+    # from the diagonal, and a multiplier integrand.  The last bits depend on
+    # the numpy and libm build.
     density, factors, tol, kw, want = PIN_CASES[name]
     r = integrate_singular(density(), factors, tol, **kw)
     assert repr((r.value, r.error_estimate, r.cells, r.evaluations)) == want
