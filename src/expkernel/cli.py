@@ -3,9 +3,9 @@ verification suites, and run the pointwise estimators.
 
 Exit codes: 0 success, 1 failed verification check, 2 configuration or
 argument violation, 3 tolerance violation (a tolerance that is not positive
-and finite, or the quadrature budget ran out above tolerance), 4 estimator
-precondition or convergence failure.  Identical invocations produce
-byte-identical output.
+and finite, the quadrature budget ran out above tolerance, or lam and w are
+too close to separate), 4 estimator precondition or convergence failure.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -144,12 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "verify its closed-form identities.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, density=True):
-        if density:
-            sp.add_argument("density",
-                            help="JSON density config path, or one of the "
-                                 "literals: unit-disc, zero, swiss-cheese")
-        sp.add_argument("--tol", type=float, default=1e-6 if density else None,
+    def common(sp):
+        sp.add_argument("density",
+                        help="JSON density config path, or one of the "
+                             "literals: unit-disc, zero, swiss-cheese")
+        sp.add_argument("--tol", type=float, default=1e-6,
                         help="quadrature tolerance (default 1e-6)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for the swiss-cheese density literal")
@@ -171,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    common(sp, density=False)
+    sp.add_argument("--tol", type=float,
+                    help="quadrature tolerance (default: each suite's own tolerances)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("estimate", help="pointwise density / decay estimators")

@@ -14,11 +14,12 @@ bounded multiplier and g is a DensitySpec.  Strategy:
   cross the ray, so the indicator part of g never crosses a quadrature panel;
 * the remainder is covered by an adaptive quadtree whose cells are classified
   geometrically against every region: cells on which g is constant use a
-  tensor 5-point Gauss-Legendre rule, cells crossed by boundaries take the
-  exact mass of g on the cell times the smooth part at the centre, and
-  refinement is driven by two-level differences.  g is linear in its terms,
-  so that mass is each coefficient times the exact area of its region in
-  the cell, plus the grid's exact cell mass, however many boundaries cross;
+  tensor 5-point Gauss-Legendre rule, and cells crossed by boundaries take the
+  exact mass of g on the cell times the smooth part at the centre.  g is
+  linear in its terms, so that mass is each coefficient times the exact area
+  of its region in the cell plus the grid's cell mass, whatever crosses it;
+* the one error estimate is the two-level change: each child carries a quarter
+  of the change from its parent to the sum of its siblings and itself;
 * the quadtree keeps its leaves as parallel numpy arrays (index, value,
   error), and each refinement step classifies, intersects, evaluates and
   sums one whole batch of cells as array operations;
@@ -53,7 +54,7 @@ class QuadratureError(RuntimeError):
 
 
 class TolNotReached(QuadratureError):
-    """Refinement budget ran out with the error estimate above tolerance."""
+    """Error estimate above tolerance: budget spent, or singular points too close."""
 
     def __init__(self, message, value=None, error_estimate=None):
         super().__init__(message)
@@ -107,7 +108,6 @@ _T5X, _T5Y = np.meshgrid(_GL5_X, _GL5_X, indexing="ij")
 _T5X = _T5X.ravel()
 _T5Y = _T5Y.ravel()
 _T5W = np.outer(_GL5_W, _GL5_W).ravel()
-_CENTER_IDX = 12  # node (2, 2) of the 5x5 tensor rule sits at the cell centre
 
 Factor = tuple[str, complex]
 
@@ -353,7 +353,8 @@ class _Engine:
         self.blocks: list[tuple[int, int, int]] = []
 
     def set_blocks(self, points: list[complex]) -> list[tuple[complex, tuple]]:
-        """Excise an aligned 2x2 cell block around each point inside the root square."""
+        """Excise an aligned 2x2 cell block around each point inside the root
+        square; points too close for separate blocks raise TolNotReached."""
         pts = [p for p in points
                if abs(p.real - self.cx) <= self.half and abs(p.imag - self.cy) <= self.half]
         if not pts:
@@ -373,10 +374,10 @@ class _Engine:
             ty = (p.imag - (self.cy - self.half)) / h
             i0 = min(max(int(math.floor(tx - 0.5)), 0), n - 2)
             j0 = min(max(int(math.floor(ty - 0.5)), 0), n - 2)
-            overlap = any(i0 < bi + 2 and i0 + 2 > bi and j0 < bj + 2 and j0 + 2 > bj
-                          for _, bi, bj in self.blocks)
-            if overlap:
-                continue  # near-coincident points share the earlier block (best effort)
+            for (q, _), (_, bi, bj) in zip(out, self.blocks):
+                if i0 < bi + 2 and i0 + 2 > bi and j0 < bj + 2 and j0 + 2 > bj:
+                    raise TolNotReached(f"singular points {q} and {p} are too close to separate: "
+                                        f"their blocks of side {2.0 * h:.3e} overlap")
             self.blocks.append((d, i0, j0))
             rect = (self.cx - self.half + i0 * h, self.cx - self.half + (i0 + 2) * h,
                     self.cy - self.half + j0 * h, self.cy - self.half + (j0 + 2) * h)
@@ -438,11 +439,10 @@ class _Engine:
 
     def _evaluate(self, depth, ix, iy):
         """Classify and evaluate a batch of cells in one pass: the indices of
-        the cells that carry mass, with their values and errors.
+        the cells that carry mass, with their values.
 
-        Constant cells take the 5x5 tensor rule, its centre node as the coarse
-        level; cells crossed by boundaries take their exact mass times the
-        integrand at the centre, the largest change to a corner as the error."""
+        Constant cells take the 5x5 tensor rule; cells crossed by boundaries
+        take their exact mass times the integrand at the centre."""
         n = depth.size
         h = 2.0 * self.half / (1 << depth)
         x0 = self.cx - self.half + ix * h
@@ -465,13 +465,12 @@ class _Engine:
         const = ~grid_straddle
         for st in statuses:
             const &= st != STRADDLE
-        mc, mass, absmass = self._masses(np.flatnonzero(~const), x0, x1, y0, y1,
-                                         statuses, gc, grid_straddle)
+        mc, mass = self._masses(np.flatnonzero(~const), x0, x1, y0, y1,
+                                statuses, gc, grid_straddle)
         for (_, coeff), st in zip(self.g.terms, statuses):
             gc = np.where(st == INSIDE, gc + coeff, gc)
         live = np.zeros(n, dtype=bool)
         value = np.zeros(n, dtype=complex)
-        err = np.zeros(n)
         cc = np.flatnonzero(const & (gc != 0.0))
         if cc.size:
             xm = 0.5 * (x0[cc] + x1[cc])
@@ -482,47 +481,32 @@ class _Engine:
                 ym[:, None] + hy[:, None] * _T5Y[None, :])
             F = _factor_values(pts, self.factors, self.multiplier)
             self.evals += F.size
-            area4 = hx * hy  # cell area / 4
-            vals = (F @ _T5W) * area4
-            d = vals - F[:, _CENTER_IDX] * (4.0 * area4)
             live[cc] = True
-            value[cc] = gc[cc] * vals
-            err[cc] = 0.5 * np.abs(gc[cc]) * np.hypot(d.real, d.imag)
+            value[cc] = gc[cc] * ((F @ _T5W) * (hx * hy))
         if mc.size:
-            pts = np.stack([
-                0.5 * (x0[mc] + x1[mc]) + 1j * (0.5 * (y0[mc] + y1[mc])),
-                x0[mc] + 1j * y0[mc],
-                x0[mc] + 1j * y1[mc],
-                x1[mc] + 1j * y0[mc],
-                x1[mc] + 1j * y1[mc],
-            ], axis=1)
-            F = _factor_values(pts, self.factors, self.multiplier)
+            F = _factor_values(0.5 * (x0[mc] + x1[mc]) + 1j * (0.5 * (y0[mc] + y1[mc])),
+                               self.factors, self.multiplier)
             self.evals += F.size
-            fc = F[:, 0]
-            dF = np.max(np.abs(F[:, 1:] - fc[:, None]), axis=1)
             live[mc] = True
-            value[mc] = fc * mass
-            err[mc] = 0.5 * dF * absmass
+            value[mc] = F * mass
         live = np.flatnonzero(live)
-        return live, value[live], err[live]
+        return live, value[live]
 
     def _masses(self, idx, x0, x1, y0, y1, statuses, grid_const, grid_straddle):
-        """(cells, mass, |mass|) of the cells idx crossed by boundaries that
-        carry mass.  g is linear in its terms, so the mass is exact however
+        """(cells, mass) of the cells idx crossed by boundaries whose mass is
+        not zero.  g is linear in its terms, so the mass is exact however
         many boundaries cross a cell: each coefficient times the area of its
         region in the cell, plus the grid's mass there."""
         x0, x1, y0, y1 = x0[idx], x1[idx], y0[idx], y1[idx]
         area = (x1 - x0) * (y1 - y0)
-        mass, absmass = np.zeros((2, idx.size))
+        mass = np.zeros(idx.size)
         for (region, coeff), st in zip(self.g.terms, statuses):
             st = st[idx]
             a = area.copy()
             cut = np.flatnonzero(st == STRADDLE)
             if cut.size:
                 a[cut] = region.cell_area(x0[cut], x1[cut], y0[cut], y1[cut])
-            on = st != OUTSIDE
-            mass = np.where(on, mass + coeff * a, mass)
-            absmass = np.where(on, absmass + abs(coeff) * a, absmass)
+            mass = np.where(st != OUTSIDE, mass + coeff * a, mass)
         grid = self.g.grid
         if grid is not None:
             gm = grid_const[idx] * area
@@ -530,22 +514,21 @@ class _Engine:
             if cut.size:
                 gm[cut] = grid.cell_mass(x0[cut], x1[cut], y0[cut], y1[cut])
             mass = mass + gm
-            absmass = absmass + gm
-        keep = absmass > 1e-300
-        return idx[keep], mass[keep], absmass[keep]
+        keep = mass != 0.0
+        return idx[keep], mass[keep]
 
     def run(self, tol: float) -> tuple[complex, float]:
         n0 = 1 << _INIT_DEPTH
         d, x, y, _ = self._materialize(np.full(n0 * n0, _INIT_DEPTH),
                                        np.repeat(np.arange(n0), n0), np.tile(np.arange(n0), n0))
-        live, self.value, self.err = self._evaluate(d, x, y)
+        live, self.value = self._evaluate(d, x, y)
+        # The cover has no coarser level to compare against: refine all of it.
+        self.err = np.full(live.size, np.inf)
         self.depth, self.ix, self.iy = d[live], x[live], y[live]
         while self.evals < self.budget:
-            n = max(self.err.size, 1)
-            total_err = float(np.sum(np.sort(self.err))) if self.err.size else 0.0
-            if total_err <= tol:
+            if float(np.sum(np.sort(self.err))) <= tol:
                 break
-            share = tol / (2.0 * n)
+            share = tol / (2.0 * self.err.size)
             batch = np.flatnonzero((self.err > share) & (self.depth < _MAX_DEPTH))
             if not batch.size:
                 break
@@ -556,7 +539,7 @@ class _Engine:
             batch = batch[:max(2048, self.err.size // 2)]
             d, x, y, src = self._materialize(
                 *self._children(self.depth[batch], self.ix[batch], self.iy[batch]))
-            live, value, _ = self._evaluate(d, x, y)
+            live, value = self._evaluate(d, x, y)
             # Each parent's children are summed in order; a quarter of the
             # observed change is each child's error.
             owner = src[live] // 4
@@ -571,9 +554,7 @@ class _Engine:
                 np.concatenate((old[rest], new)) for old, new in
                 zip((self.depth, self.ix, self.iy, self.value, self.err), kids))
         order = np.lexsort((self.iy, self.ix, self.depth))
-        value = complex(np.sum(self.value[order])) if order.size else 0.0 + 0.0j
-        err = float(np.sum(self.err[order])) if order.size else 0.0
-        return value, err
+        return complex(np.sum(self.value[order])), float(np.sum(self.err[order]))
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +568,8 @@ def integrate_singular(g: DensitySpec, factors, tol: float, multiplier=None,
     ``factors`` is a sequence of ('recip'|'recip_conj', point); ``attention``
     lists additional points around which the integrand is merely non-smooth
     (they get an excised block and a polar patch, without factor cancellation).
+    ``budget`` caps the quadtree's integrand evaluations; it is checked before
+    each refinement pass, so the last pass can end past it.
     """
     tol = _check_tol(tol)
     factors = tuple((k, complex(s)) for k, s in factors)

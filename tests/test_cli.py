@@ -93,6 +93,13 @@ def test_verify_unknown_suite_is_usage_error():
     assert "invalid choice" in r.stderr
 
 
+def test_verify_takes_no_seed():
+    # the suites carry their own fixtures; a seed would be silently ignored
+    r = run_cli("verify", "shift", "--seed", "1")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --seed" in r.stderr
+
+
 def test_exit_code_config_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -118,6 +125,14 @@ def test_exit_code_tolerance():
     assert r.returncode == 3
     r = run_cli("verify", "shift", "--tol", "-1")
     assert r.returncode == 3
+
+
+def test_exit_code_points_too_close():
+    # lam and w 3e-8 apart: too close for separate excised blocks
+    r = run_cli("eval", "unit-disc", "--lam", "0.3,0.2", "--w", "0.3,0.20000003",
+                "--tol", "1e-3")
+    assert r.returncode == 3
+    assert "too close to separate" in r.stderr
 
 
 def test_exit_code_estimator_precondition():

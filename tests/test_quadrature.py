@@ -240,6 +240,15 @@ def test_budget_exhaustion_raises_tol_not_reached():
     assert err.error_estimate > 1e-12
 
 
+def test_points_too_close_to_separate_raise():
+    # 3e-8 apart, the two blocks overlap even at the depth limit; sharing one
+    # block gave an exponent 1e-3 off under an estimate of 7e-5
+    with pytest.raises(TolNotReached, match=r"singular points \(0\.3\+0\.20000003j\) "
+                       r"and \(0\.3\+0\.2j\) are too close to separate: their "
+                       r"blocks of side 2\.384e-07 overlap"):
+        integrate_bi_singular(UNIT, 0.3 + 0.20000003j, 0.3 + 0.2j, 1e-3)
+
+
 def test_error_estimates_are_honest():
     # observed error stays below the reported estimate on closed-form cases
     for lam, w in ((0.5 + 0j, 0j), (2.0 + 0j, 3.0 + 0j)):
@@ -255,37 +264,38 @@ def _bi(w, lam):
 
 PIN_CASES = {
     "disc": (lambda: disc_density(0.2 + 0.1j, 0.7), _bi(0.1 + 0.2j, 0.5 - 0.1j), 1e-5, {},
-             "((2.4199040830333383+0.058171019941530976j), 3.2178394908163583e-06, 28117, 683477)"),
+             "((2.4199040830333383+0.058171019941530976j), 3.2178394908163583e-06, 28117, 620193)"),
     "swiss_cheese": (lambda: swiss_cheese(0, 4), _bi(-0.1 + 0.4j, 0.3 + 0.2j), 1e-4, {},
-                     "((4.482349816945633+0.30984801699919173j), 3.821438001786457e-05, 21474, 519042)"),
+                     "((4.482349816945633+0.30984801699919173j), 3.821438001786457e-05, 21474, 469746)"),
     "disc_and_annulus": (
         lambda: make_density(0j, 2.0, [(Disk(0.17, 0.23, 0.63), 0.49),
                                        (Annulus(0.12, 0.20, 0.38, 0.77), 0.50)]),
         _bi(-0.3 + 0.1j, 0.2 + 0.5j), 1e-4, {},
-        "((1.569844151996323+0.000787764161243959j), 2.554524940067608e-05, 66244, 1707629)"),
+        "((1.569844151996323+0.000787764161243959j), 2.554524940067608e-05, 66244, 1595269)"),
     "rectangle_and_grid": (
         lambda: make_density(0j, 1.0, [(Rectangle(*RECT), 0.4)],
                              GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)),
         _bi(-0.35 + 0.05j, 0.15 - 0.25j), 1e-4, {},
-        "((-0.5227004573633132-0.7648772760412038j), 4.619206348519035e-05, 30610, 829493)"),
+        "((-0.5227004573633132-0.7648772760412038j), 4.619206348519035e-05, 30610, 777473)"),
     "grid_only": (lambda: make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)),
                   _bi(0.1 + 0.05j, -0.2 + 0.3j), 1e-4, {},
-                  "((0.43320345533253346-0.34729589520359583j), 3.154820130665284e-05, 22428, 610416)"),
+                  "((0.43320345533253346-0.34729589520359583j), 3.154820130665284e-05, 22428, 568312)"),
     "near_diagonal": (lambda: UNIT, _bi(0.3 + 0.2j, 0.30001 + 0.2j), 1e-4, {},
-                      "((71.9003228674432+7.2220891030871925e-06j), 1.3702584682278632e-05, 15159, 385162)"),
+                      "((71.9003228674432+7.2220891030871925e-06j), 1.3702584682278632e-05, 15159, 354950)"),
     "multiplier": (lambda: UNIT, [("recip", 0.4 + 0.1j)], 1e-5,
                    {"multiplier": make_transform(disc_density(0.3 - 0.2j, 0.5))},
-                   "((-0.12566370726556306-0.09424778110618273j), 3.4872328364212307e-06, 21105, 577096)"),
+                   "((-0.12566370726556306-0.09424778110618273j), 3.487232836421231e-06, 21105, 545548)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PIN_CASES))
 def test_engine_results_pinned(name):
     # value, estimate, cells and evaluations of the quadtree engine, pinned
-    # to the last bit: the cases cover constant cells, exact-mass cells crossed
-    # by one or two boundaries, grid-straddle cells, a block split one cell
-    # from the diagonal, and a multiplier integrand.  The last bits depend on
-    # the numpy and libm build.
+    # to the last bit: the cases cover constant cells (25 evaluations each),
+    # exact-mass cells crossed by one or two boundaries (one evaluation each),
+    # grid-straddle cells, a block split one cell from the diagonal, and a
+    # multiplier integrand.  The last bits depend on the numpy and libm build,
+    # down to the loop numpy picks for an array's shape.
     density, factors, tol, kw, want = PIN_CASES[name]
     r = integrate_singular(density(), factors, tol, **kw)
     assert repr((r.value, r.error_estimate, r.cells, r.evaluations)) == want
