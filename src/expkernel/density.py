@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Annulus, Disk, Rectangle, Region, _line_crossing
+from .geometry import Annulus, Disk, Rectangle, Region, _line_crossings
 
 _MASK64 = (1 << 64) - 1
 
@@ -127,13 +127,12 @@ class GridLayer:
                 total = np.where(row & (i < i1) & (w > 0.0), total + w * h * v, total)
         return total
 
-    def ray_crossings(self, sx: float, sy: float, ct: float, st: float) -> list[float]:
-        out: list[float] = []
-        for k in range(self.nx + 1):
-            out += _line_crossing(sx, self.origin_x + k * self.spacing, ct)
-        for k in range(self.ny + 1):
-            out += _line_crossing(sy, self.origin_y + k * self.spacing, st)
-        return out
+    def ray_crossings(self, sx, sy, ct, st):
+        """Radii at which rays cross each grid line, one row per ray (nan: no crossing)."""
+        return np.concatenate(
+            (_line_crossings(sx, self.origin_x + np.arange(self.nx + 1) * self.spacing, ct),
+             _line_crossings(sy, self.origin_y + np.arange(self.ny + 1) * self.spacing, st)),
+            axis=-1)
 
 
 @dataclass(frozen=True)

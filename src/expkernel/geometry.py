@@ -13,6 +13,9 @@ that the adaptive integrator relies on:
 The two cell queries take arrays of cell bounds, so the integrator
 classifies and intersects a whole batch of cells at once; scalar bounds
 give 0-d arrays.  They reproduce scalar float arithmetic bit for bit.
+``ray_crossings`` likewise takes arrays of directions (ct, st) from one
+origin and returns one row of candidate radii per ray, nan where a ray has
+no crossing, with a fixed number of columns per region.
 """
 
 from __future__ import annotations
@@ -99,23 +102,26 @@ def rect_rect_area(ax0, ax1, ay0, ay1, bx0, bx1, by0, by1):
     return np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
 
 
-def _circle_ray_crossings(cx: float, cy: float, r: float,
-                          sx: float, sy: float, ct: float, st: float) -> list[float]:
+def _circle_crossings(cx: float, cy: float, r: float, sx: float, sy: float, ct, st):
+    """(..., 2) radii t > 0 at which the rays (sx, sy) + t*(ct, st) cross the
+    circle; nan where a ray misses it, touches it or meets it behind (sx, sy)."""
     dx = sx - cx
     dy = sy - cy
-    beta = dx * ct + dy * st
+    beta = dx * np.asarray(ct, dtype=float) + dy * np.asarray(st, dtype=float)
     disc = beta * beta - (dx * dx + dy * dy - r * r)
-    if disc <= 0.0:
-        return []
-    sq = math.sqrt(disc)
-    return [t for t in (-beta - sq, -beta + sq) if t > 0.0]
+    sq = np.sqrt(np.where(disc > 0.0, disc, 0.0))
+    t = np.stack((-beta - sq, -beta + sq), axis=-1)
+    return np.where((disc > 0.0)[..., None] & (t > 0.0), t, np.nan)
 
 
-def _line_crossing(coord_s: float, coord_target: float, direction: float) -> list[float]:
-    if abs(direction) < 1e-14:
-        return []
-    t = (coord_target - coord_s) / direction
-    return [t] if t > 0.0 else []
+def _line_crossings(s: float, targets, direction):
+    """(..., len(targets)) radii t > 0 at which rays from coordinate s with
+    direction component ``direction`` reach the coordinates ``targets``; nan
+    for a ray behind a line or nearly parallel to it (|direction| < 1e-14)."""
+    d = np.asarray(direction, dtype=float)[..., None]
+    ok = np.abs(d) >= 1e-14
+    t = (np.asarray(targets, dtype=float) - s) / np.where(ok, d, 1.0)
+    return np.where(ok & (t > 0.0), t, np.nan)
 
 
 @dataclass(frozen=True)
@@ -141,8 +147,8 @@ class Disk:
     def cell_area(self, x0, x1, y0, y1):
         return disk_rect_area(self.cx, self.cy, self.r, x0, x1, y0, y1)
 
-    def ray_crossings(self, sx: float, sy: float, ct: float, st: float) -> list[float]:
-        return _circle_ray_crossings(self.cx, self.cy, self.r, sx, sy, ct, st)
+    def ray_crossings(self, sx, sy, ct, st):
+        return _circle_crossings(self.cx, self.cy, self.r, sx, sy, ct, st)
 
     def boundary_distance(self, x: float, y: float) -> float:
         return abs(math.hypot(x - self.cx, y - self.cy) - self.r)
@@ -178,9 +184,10 @@ class Annulus:
         return (disk_rect_area(self.cx, self.cy, self.r_outer, x0, x1, y0, y1)
                 - disk_rect_area(self.cx, self.cy, self.r_inner, x0, x1, y0, y1))
 
-    def ray_crossings(self, sx: float, sy: float, ct: float, st: float) -> list[float]:
-        return (_circle_ray_crossings(self.cx, self.cy, self.r_inner, sx, sy, ct, st)
-                + _circle_ray_crossings(self.cx, self.cy, self.r_outer, sx, sy, ct, st))
+    def ray_crossings(self, sx, sy, ct, st):
+        return np.concatenate((_circle_crossings(self.cx, self.cy, self.r_inner, sx, sy, ct, st),
+                               _circle_crossings(self.cx, self.cy, self.r_outer, sx, sy, ct, st)),
+                              axis=-1)
 
     def boundary_distance(self, x: float, y: float) -> float:
         d = math.hypot(x - self.cx, y - self.cy)
@@ -214,13 +221,9 @@ class Rectangle:
     def cell_area(self, x0, x1, y0, y1):
         return rect_rect_area(self.x0, self.x1, self.y0, self.y1, x0, x1, y0, y1)
 
-    def ray_crossings(self, sx: float, sy: float, ct: float, st: float) -> list[float]:
-        out: list[float] = []
-        out += _line_crossing(sx, self.x0, ct)
-        out += _line_crossing(sx, self.x1, ct)
-        out += _line_crossing(sy, self.y0, st)
-        out += _line_crossing(sy, self.y1, st)
-        return out
+    def ray_crossings(self, sx, sy, ct, st):
+        return np.concatenate((_line_crossings(sx, (self.x0, self.x1), ct),
+                               _line_crossings(sy, (self.y0, self.y1), st)), axis=-1)
 
     def boundary_distance(self, x: float, y: float) -> float:
         if self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1:

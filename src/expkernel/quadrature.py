@@ -28,6 +28,13 @@ bounded multiplier and g is a DensitySpec.  Strategy:
 
 The diagonal and disc-mass integrals use exact radial columns under an
 adaptive angular rule, broken wherever a column has a kink.
+
+The 1-D rules run level by level: each pass of the angular rule sends the
+nodes of all its open intervals to the column function at once, and a
+column function works on whole arrays of rays, one crossing matrix, one
+density evaluation and one multiplier call per pass (in chunks of rays that
+bound its memory); the radial panels of all rays bisect level by level too.
+Sums over intervals, panels and Gauss nodes run in a fixed order.
 """
 
 from __future__ import annotations
@@ -103,6 +110,9 @@ class DiagonalMass:
 _GL5_X, _GL5_W = leggauss(5)
 _GL7_X, _GL7_W = leggauss(7)
 _GL15_X, _GL15_W = leggauss(15)
+# The 22 nodes of a GL15/GL7 pair, and both rules' weights in that order.
+_GL22_X = np.concatenate((_GL15_X, _GL7_X))
+_GL22_W = np.concatenate((_GL15_W, _GL7_W))
 
 _T5X, _T5Y = np.meshgrid(_GL5_X, _GL5_X, indexing="ij")
 _T5X = _T5X.ravel()
@@ -120,6 +130,11 @@ _DIVERGENCE_THRESHOLD = 40.0
 _MAX_OCTAVES = 1000
 # Rounding bound of an exact radial column, per unit of its operands' size.
 _ROUNDING = 4.0 * math.ulp(1.0)
+# Bisection depth limits of the angular rule and of a radial column.
+_MAX_DEPTH_1D = 24
+_MAX_DEPTH_GL = 10
+# Rays times crossing columns per pass of a column function (memory bound).
+_CHUNK = 1 << 16
 
 
 def _factor_values(pts: np.ndarray, factors: tuple[Factor, ...], multiplier) -> np.ndarray:
@@ -136,152 +151,197 @@ def _factor_values(pts: np.ndarray, factors: tuple[Factor, ...], multiplier) -> 
 
 
 # ---------------------------------------------------------------------------
-# Radial columns: integrals along a ray with g piecewise constant
+# Radial columns: integrals along rays with g piecewise constant, many rays
+# per array pass
 
 
-def _ray_segments(g: DensitySpec, sx: float, sy: float, ct: float, st: float,
-                  r_lo: float, r_hi: float, extra: tuple[float, ...] = ()):
-    """Segments (a, b, g_value) of [r_lo, r_hi] on which g is constant along the ray."""
-    crossings = [r_lo, r_hi]
-    for region, _ in g.terms:
-        crossings.extend(region.ray_crossings(sx, sy, ct, st))
+def _node_sum(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per row of f, the sum of w[k] * f[:, k], node after node: a fixed
+    order, where a BLAS dot product's order depends on the CPU."""
+    total = np.zeros(f.shape[0], dtype=f.dtype)
+    for k, wk in enumerate(w):
+        total = total + wk * f[:, k]
+    return total
+
+
+def _ordered_sum(x: np.ndarray):
+    """The sum of x from left to right (np.sum adds pairwise)."""
+    return np.add.accumulate(np.concatenate(([0.0], x)))[-1]
+
+
+def _crossings(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.ndarray,
+               extra: tuple[float, ...] = ()) -> np.ndarray:
+    """(rays, columns) radii at which rays from (sx, sy) in directions (ct, st)
+    can meet a jump of g (its regions, grid and support circle) or reach an
+    extra radius; nan where a ray has no such crossing."""
+    cols = [region.ray_crossings(sx, sy, ct, st) for region, _ in g.terms]
     if g.grid is not None:
-        crossings.extend(g.grid.ray_crossings(sx, sy, ct, st))
-    crossings.extend(
-        Disk(g.support_center.real, g.support_center.imag,
-             g.support_radius).ray_crossings(sx, sy, ct, st))
-    for t in extra:
-        crossings.append(t)
-    pts = sorted(t for t in crossings if r_lo < t < r_hi)
-    pts = [r_lo] + pts + [r_hi]
-    edges = []
-    last = pts[0]
-    for t in pts[1:]:
-        if t - last > 1e-15 * max(abs(t), abs(last)):
-            edges.append((last, t))
-            last = t
-    if not edges:
-        return []
-    mids = np.array([0.5 * (a + b) for a, b in edges])
-    us = (sx + mids * ct) + 1j * (sy + mids * st)
-    gv = np.atleast_1d(eval_density(g, us))
-    return [(a, b, float(v)) for (a, b), v in zip(edges, gv) if v != 0.0]
+        cols.append(g.grid.ray_crossings(sx, sy, ct, st))
+    cols.append(Disk(g.support_center.real, g.support_center.imag,
+                     g.support_radius).ray_crossings(sx, sy, ct, st))
+    cols.append(np.broadcast_to(np.asarray(extra, dtype=float), (ct.size, len(extra))))
+    return np.concatenate(cols, axis=1)
 
 
-def _column_exact(g: DensitySpec, sx: float, sy: float, ct: float, st: float,
-                  r_lo: float, r_hi: float, weight: str) -> tuple[float, float]:
-    """Exact radial integral of g times r ('mass') or 1/r ('invsq'), and a
-    bound on its rounding error.
+def _ray_segments(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.ndarray,
+                  r_lo: float, r_hi, extra: tuple[float, ...] = ()):
+    """Segments of [r_lo, r_hi] (r_hi scalar or per ray) on which g is constant
+    along each ray, as arrays (ray, a, b, g value), ray by ray from the inside
+    out.  Segments where g vanishes are dropped.
+
+    Each crossing merges into the last kept end when closer to it than 1e-15
+    relative; the rule is sequential, so it runs column by column.
+    """
+    hi = np.broadcast_to(np.asarray(r_hi, dtype=float), ct.shape)
+    t = _crossings(g, sx, sy, ct, st, extra)
+    t = np.sort(np.where((t > r_lo) & (t < hi[:, None]), t, np.nan), axis=1)
+    t = t[:, :np.max(np.count_nonzero(t == t, axis=1), initial=0)]
+    last = np.full(ct.shape, float(r_lo))
+    ends = []
+    for b in (*t.T, hi):
+        keep = b - last > 1e-15 * np.maximum(np.abs(b), np.abs(last))
+        ends.append((last, b, keep))
+        last = np.where(keep, b, last)
+    a, b, keep = (np.stack(c, axis=1) for c in zip(*ends))
+    ray, col = np.nonzero(keep)
+    a, b = a[ray, col], b[ray, col]
+    mids = 0.5 * (a + b)
+    gv = eval_density(g, (sx + mids * ct[ray]) + 1j * (sy + mids * st[ray]))
+    live = gv != 0.0
+    return ray[live], a[live], b[live], gv[live]
+
+
+# libm's log, as math.log takes it; np.log can differ in the last bit.
+_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _column_exact(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.ndarray,
+                  r_lo: float, r_hi: float, weight: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per ray, the exact radial integral of g times r ('mass') or 1/r
+    ('invsq'), and a bound on its rounding error.
 
     Each segment's term rounds in proportion to the size of its operands,
     not of the term: b*b - a*a cancels when a is near b, and log(b/a) keeps
-    an absolute error of one ulp of b/a.
+    an absolute error of one ulp of b/a.  Segments are summed ray by ray
+    from the inside out.
     """
-    total = 0.0
-    size = 0.0
-    for a, b, gv in _ray_segments(g, sx, sy, ct, st, r_lo, r_hi):
-        if weight == "mass":
-            total += gv * 0.5 * (b * b - a * a)
-            size += abs(gv) * 0.5 * (b * b + a * a)
-        else:
-            term = gv * math.log(b / a)
-            total += term
-            size += abs(gv) + abs(term)
-    return total, _ROUNDING * size
+    ray, a, b, gv = _ray_segments(g, sx, sy, ct, st, r_lo, r_hi)
+    if weight == "mass":
+        term = gv * 0.5 * (b * b - a * a)
+        size = np.abs(gv) * 0.5 * (b * b + a * a)
+    else:
+        term = gv * _log(b / a).astype(float)
+        size = np.abs(gv) + np.abs(term)
+    total = np.zeros(ct.size)
+    bound = np.zeros(ct.size)
+    np.add.at(total, ray, term)
+    np.add.at(bound, ray, size)
+    return total, _ROUNDING * bound
 
 
-def _column_gl(g: DensitySpec, s: complex, ct: float, st: float, r_hi: float,
-               fvec, seg_tol: float, extra: tuple[float, ...]) -> tuple[complex, float, int]:
-    """Adaptive radial integral of fvec(r) * g along a ray from s, split at g breakpoints."""
-    segs = _ray_segments(g, s.real, s.imag, ct, st, 0.0, r_hi, extra)
-    total = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    stack = [(a, b, gv, 0) for a, b, gv in reversed(segs)]
-    while stack:
-        a, b, gv, depth = stack.pop()
+def _column_gl(g: DensitySpec, s: complex, ct: np.ndarray, st: np.ndarray, r_hi: np.ndarray,
+               fvec, seg_tol: float, extra: tuple[float, ...]):
+    """Per ray from s, the adaptive radial integral of fvec * g, split at g's
+    breakpoints: arrays (value, error, evaluations).
+
+    ``fvec(r, ray)`` takes radii (panels, nodes) and each panel's ray.  The
+    panels of all rays are bisected level by level; each ray sums its
+    finished panels from the inside out.
+    """
+    ray, a, b, gv = _ray_segments(g, s.real, s.imag, ct, st, 0.0, r_hi, extra)
+    total = np.zeros(ct.size, dtype=complex)
+    err = np.zeros(ct.size)
+    evals = np.zeros(ct.size, dtype=np.int64)
+    if not ray.size:
+        return total, err, evals
+    lim = 1e-14 * r_hi
+    seg = np.arange(ray.size)
+    done = []
+    for depth in range(_MAX_DEPTH_GL + 1):
+        if not seg.size:
+            break
         h = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        r15 = mid + h * _GL15_X
-        r7 = mid + h * _GL7_X
-        f15 = fvec(r15)
-        f7 = fvec(r7)
-        evals += 22
-        v15 = h * np.dot(_GL15_W, f15)
-        v7 = h * np.dot(_GL7_W, f7)
-        d = abs(v15 - v7)
-        if d <= seg_tol or depth >= 10 or (b - a) <= 1e-14 * r_hi:
-            total += gv * v15
-            err += abs(gv) * d
-        else:
-            stack.append((mid, b, gv, depth + 1))
-            stack.append((a, mid, gv, depth + 1))
+        f = fvec(mid[:, None] + h[:, None] * _GL22_X, ray[seg])
+        evals += 22 * np.bincount(ray[seg], minlength=ct.size)
+        v15 = h * _node_sum(_GL15_W, f[:, :15])
+        diff = v15 - h * _node_sum(_GL7_W, f[:, 15:])
+        d = np.hypot(diff.real, diff.imag)
+        ok = (d <= seg_tol) | (depth >= _MAX_DEPTH_GL) | ((b - a) <= lim[ray[seg]])
+        k = seg[ok]
+        done.append((k, a[ok], gv[k] * v15[ok], np.abs(gv[k]) * d[ok]))
+        seg, a, b = (np.concatenate(p) for p in ((seg[~ok], seg[~ok]), (a[~ok], mid[~ok]),
+                                                  (mid[~ok], b[~ok])))
+    k, a, v, e = (np.concatenate(c) for c in zip(*done))
+    order = np.lexsort((a, k))
+    np.add.at(total, ray[k[order]], v[order])
+    np.add.at(err, ray[k[order]], e[order])
     return total, err, evals
 
 
-def _adaptive_1d(f, breaks: list[float], tol: float, max_depth: int = 24):
-    """Adaptive GL15/GL7 integration of a scalar callable over consecutive intervals.
+def _chunked(column, g: DensitySpec, s: complex, extra: tuple[float, ...] = ()):
+    """column over rays from s, in chunks of at most _CHUNK elements of the
+    crossing matrix, results joined: bounds the memory of one pass."""
+    width = _crossings(g, s.real, s.imag, np.zeros(0), np.zeros(0), extra).shape[1]
+    step = max(1, _CHUNK // width)
 
-    ``f(x)`` returns (value, error, evaluations); node errors are propagated
-    into the total estimate alongside the two-level rule differences.
+    def f(theta):
+        parts = [column(theta[i:i + step]) for i in range(0, theta.size, step)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    return f
+
+
+def _adaptive_1d(f, breaks: list[float], tol: float):
+    """Adaptive GL15/GL7 integration over consecutive intervals, level by level.
+
+    Each pass sends the 22 nodes of every open interval to ``f`` in one
+    call; ``f(x)`` returns arrays (values, errors, evaluations), and node
+    errors are propagated into the total estimate alongside the two-level
+    rule differences.  Finished intervals are summed from left to right.
     """
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    evals = 0
+    breaks = np.asarray(breaks, dtype=float)
     span = breaks[-1] - breaks[0]
-    stack = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b > a:
-            stack.append((a, b, tol * (b - a) / span, 0))
-    stack.reverse()
-    while stack:
-        a, b, tol_i, depth = stack.pop()
+    a, b = breaks[:-1], breaks[1:]
+    a, b = a[b > a], b[b > a]
+    tol_i = tol * (b - a) / span
+    evals = 0
+    done = []
+    for depth in range(_MAX_DEPTH_1D + 1):
+        if not a.size:
+            break
         h = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        v15 = 0.0 + 0.0j
-        v7 = 0.0 + 0.0j
-        node_err = 0.0
-        for x, wgt in zip(_GL15_X, _GL15_W):
-            v, e, n = f(mid + h * x)
-            v15 += wgt * v
-            node_err += wgt * e
-            evals += n
-        for x, wgt in zip(_GL7_X, _GL7_W):
-            v, e, n = f(mid + h * x)
-            v7 += wgt * v
-            node_err += wgt * e
-            evals += n
-        v15 *= h
-        v7 *= h
-        d = abs(v15 - v7)
-        if d <= tol_i or depth >= max_depth or (b - a) <= 1e-12 * span:
-            total += v15
-            err_total += d + h * node_err
-        else:
-            stack.append((mid, b, 0.5 * tol_i, depth + 1))
-            stack.append((a, mid, 0.5 * tol_i, depth + 1))
-    return total, err_total, evals
+        v, e, n = f((mid[:, None] + h[:, None] * _GL22_X).ravel())
+        v, e = v.reshape(-1, 22), e.reshape(-1, 22)
+        evals += int(np.sum(n))
+        v15 = _node_sum(_GL15_W, v[:, :15]) * h
+        diff = v15 - _node_sum(_GL7_W, v[:, 15:]) * h
+        d = np.hypot(diff.real, diff.imag)
+        ok = (d <= tol_i) | (depth >= _MAX_DEPTH_1D) | ((b - a) <= 1e-12 * span)
+        done.append((a[ok], v15[ok], d[ok] + h[ok] * _node_sum(_GL22_W, e[ok])))
+        a, b, tol_i = (np.concatenate(p) for p in ((a[~ok], mid[~ok]), (mid[~ok], b[~ok]),
+                                                    (0.5 * tol_i[~ok], 0.5 * tol_i[~ok])))
+    a, v, e = (np.concatenate(c) for c in zip(*done))
+    order = np.argsort(a, kind="stable")
+    return complex(_ordered_sum(v[order])), float(_ordered_sum(e[order])), evals
 
 
 # ---------------------------------------------------------------------------
 # Polar patches over excised blocks
 
 
-def _block_exit_radius(sx: float, sy: float, ct: float, st: float,
-                       bx0: float, bx1: float, by0: float, by1: float) -> float:
-    if ct > 1e-300:
-        tx = (bx1 - sx) / ct
-    elif ct < -1e-300:
-        tx = (bx0 - sx) / ct
-    else:
-        tx = math.inf
-    if st > 1e-300:
-        ty = (by1 - sy) / st
-    elif st < -1e-300:
-        ty = (by0 - sy) / st
-    else:
-        ty = math.inf
-    return max(min(tx, ty), 0.0)
+def _block_exit_radius(sx: float, sy: float, ct: np.ndarray, st: np.ndarray,
+                       block) -> np.ndarray:
+    """Per ray from (sx, sy), the radius at which it leaves the block."""
+    bx0, bx1, by0, by1 = block
+    exits = []
+    for c, lo, hi in ((ct, bx0 - sx, bx1 - sx), (st, by0 - sy, by1 - sy)):
+        t = np.full(c.shape, math.inf)
+        np.divide(hi, c, out=t, where=c > 1e-300)
+        np.divide(lo, c, out=t, where=c < -1e-300)
+        exits.append(t)
+    return np.maximum(np.minimum(*exits), 0.0)
 
 
 def _polar_patch(g: DensitySpec, s: complex, cancel: str | None,
@@ -303,29 +363,26 @@ def _polar_patch(g: DensitySpec, s: complex, cancel: str | None,
     n_cols_budget = max(len(breaks) - 1, 1)
     seg_tol = tol / (4.0 * math.pi)
 
-    def column(theta: float):
-        ct, st = math.cos(theta), math.sin(theta)
-        rmax = _block_exit_radius(sx, sy, ct, st, bx0, bx1, by0, by1)
-        if rmax <= 0.0:
-            return 0.0 + 0.0j, 0.0, 0
-        e = complex(ct, st)
+    def column(theta):
+        ct, st = np.cos(theta), np.sin(theta)
+        e = ct + 1j * st
         if cancel == "recip":
-            phase = complex(ct, -st)
+            phase = np.conj(e)
         elif cancel == "recip_conj":
             phase = e
         else:
-            phase = 1.0 + 0.0j
+            phase = np.ones_like(e)
 
-        def fvec(r):
-            u = s + r * e
-            F = _factor_values(u, rest, multiplier)
+        def fvec(r, ray):
+            F = _factor_values(s + r * e[ray, None], rest, multiplier)
             if cancel is None:
                 F = F * r
-            return F * phase
+            return F * phase[ray, None]
 
+        rmax = _block_exit_radius(sx, sy, ct, st, block)
         return _column_gl(g, s, ct, st, rmax, fvec, seg_tol / n_cols_budget, extra_radii)
 
-    return _adaptive_1d(column, breaks, tol)
+    return _adaptive_1d(_chunked(column, g, s, extra_radii), breaks, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +767,11 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
                     if xs[0] <= cx + t <= xs[-1]]
         breaks.update(math.atan2(y - cy, x - cx) % tau for x, y in pts)
 
-    def column(theta: float):
-        v, e = _column_exact(g, cx, cy, math.cos(theta), math.sin(theta), r_lo, r_hi, weight)
-        return v, e, 1
+    def column(theta):
+        v, e = _column_exact(g, cx, cy, np.cos(theta), np.sin(theta), r_lo, r_hi, weight)
+        return v, e, np.ones(theta.size, dtype=np.int64)
 
-    v, e, _ = _adaptive_1d(column, sorted(breaks) + [tau], tol)
+    v, e, _ = _adaptive_1d(_chunked(column, g, c), sorted(breaks) + [tau], tol)
     return v.real, e
 
 

@@ -1,12 +1,17 @@
-"""Brute-force reference integrators, independent of the adaptive engine.
+"""Reference integrators, independent of the adaptive engine.
 
-Plain midpoint rules only: slow, simple, and sharing no code with the
-library's quadrature, so agreement is evidence rather than tautology.
+The midpoint rules are slow, simple, and share no code with the library's
+quadrature, so agreement is evidence rather than tautology.  The scalar
+radial and angular rules below are the one-ray, one-interval-at-a-time
+loops the library's array passes replace, kept as their reference.
 """
+
+import math
 
 import numpy as np
 
-from expkernel.density import eval_density
+from expkernel.density import GridLayer, eval_density
+from expkernel.geometry import Annulus, Disk, Rectangle
 
 
 def midpoint_rect(func, x0, x1, y0, y1, n=600):
@@ -59,3 +64,206 @@ def bi_singular_oracle(g, w, lam, nr=1000, nt=1000):
         return gv * out
 
     return -polar_midpoint(f, w, reach, nr, nt) / np.pi
+
+
+# ---------------------------------------------------------------------------
+# Scalar references of the radial columns and the angular rule
+
+
+_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
+_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+
+
+def _circle_crossings(cx, cy, r, sx, sy, ct, st):
+    dx = sx - cx
+    dy = sy - cy
+    beta = dx * ct + dy * st
+    disc = beta * beta - (dx * dx + dy * dy - r * r)
+    if disc <= 0.0:
+        return []
+    sq = math.sqrt(disc)
+    return [t for t in (-beta - sq, -beta + sq) if t > 0.0]
+
+
+def _line_crossing(coord_s, coord_target, direction):
+    if abs(direction) < 1e-14:
+        return []
+    t = (coord_target - coord_s) / direction
+    return [t] if t > 0.0 else []
+
+
+def ray_crossings(boundary, sx, sy, ct, st):
+    """Positive radii at which one ray can cross a region's or grid's boundary."""
+    if isinstance(boundary, Disk):
+        return _circle_crossings(boundary.cx, boundary.cy, boundary.r, sx, sy, ct, st)
+    if isinstance(boundary, Annulus):
+        return (_circle_crossings(boundary.cx, boundary.cy, boundary.r_inner, sx, sy, ct, st)
+                + _circle_crossings(boundary.cx, boundary.cy, boundary.r_outer, sx, sy, ct, st))
+    if isinstance(boundary, Rectangle):
+        return (_line_crossing(sx, boundary.x0, ct) + _line_crossing(sx, boundary.x1, ct)
+                + _line_crossing(sy, boundary.y0, st) + _line_crossing(sy, boundary.y1, st))
+    assert isinstance(boundary, GridLayer)
+    out = []
+    for k in range(boundary.nx + 1):
+        out += _line_crossing(sx, boundary.origin_x + k * boundary.spacing, ct)
+    for k in range(boundary.ny + 1):
+        out += _line_crossing(sy, boundary.origin_y + k * boundary.spacing, st)
+    return out
+
+
+def ray_segments(g, sx, sy, ct, st, r_lo, r_hi, extra=()):
+    """Segments (a, b, g_value) of [r_lo, r_hi] on which g is constant along the ray."""
+    crossings = [r_lo, r_hi]
+    for region, _ in g.terms:
+        crossings.extend(ray_crossings(region, sx, sy, ct, st))
+    if g.grid is not None:
+        crossings.extend(ray_crossings(g.grid, sx, sy, ct, st))
+    crossings.extend(ray_crossings(Disk(g.support_center.real, g.support_center.imag,
+                                        g.support_radius), sx, sy, ct, st))
+    crossings.extend(extra)
+    pts = sorted(t for t in crossings if r_lo < t < r_hi)
+    pts = [r_lo] + pts + [r_hi]
+    edges = []
+    last = pts[0]
+    for t in pts[1:]:
+        if t - last > 1e-15 * max(abs(t), abs(last)):
+            edges.append((last, t))
+            last = t
+    if not edges:
+        return []
+    mids = np.array([0.5 * (a + b) for a, b in edges])
+    us = (sx + mids * ct) + 1j * (sy + mids * st)
+    gv = np.atleast_1d(eval_density(g, us))
+    return [(a, b, float(v)) for (a, b), v in zip(edges, gv) if v != 0.0]
+
+
+def column_exact(g, sx, sy, ct, st, r_lo, r_hi, weight, rounding=4.0 * math.ulp(1.0)):
+    """Exact radial integral of g times r ('mass') or 1/r ('invsq') along one
+    ray, and a bound on its rounding error."""
+    total = 0.0
+    size = 0.0
+    for a, b, gv in ray_segments(g, sx, sy, ct, st, r_lo, r_hi):
+        if weight == "mass":
+            total += gv * 0.5 * (b * b - a * a)
+            size += abs(gv) * 0.5 * (b * b + a * a)
+        else:
+            term = gv * math.log(b / a)
+            total += term
+            size += abs(gv) + abs(term)
+    return total, rounding * size
+
+
+def column_gl(g, s, ct, st, r_hi, fvec, seg_tol, extra):
+    """Adaptive radial integral of fvec(r) * g along one ray from s, split at g breakpoints."""
+    segs = ray_segments(g, s.real, s.imag, ct, st, 0.0, r_hi, extra)
+    total = 0.0 + 0.0j
+    err = 0.0
+    evals = 0
+    stack = [(a, b, gv, 0) for a, b, gv in reversed(segs)]
+    while stack:
+        a, b, gv, depth = stack.pop()
+        h = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        f15 = fvec(mid + h * _GL15_X)
+        f7 = fvec(mid + h * _GL7_X)
+        evals += 22
+        v15 = h * np.dot(_GL15_W, f15)
+        v7 = h * np.dot(_GL7_W, f7)
+        d = abs(v15 - v7)
+        if d <= seg_tol or depth >= 10 or (b - a) <= 1e-14 * r_hi:
+            total += gv * v15
+            err += abs(gv) * d
+        else:
+            stack.append((mid, b, gv, depth + 1))
+            stack.append((a, mid, gv, depth + 1))
+    return total, err, evals
+
+
+def adaptive_1d(f, breaks, tol, max_depth=24):
+    """Adaptive GL15/GL7 integration of a scalar callable over consecutive
+    intervals, depth first; ``f(x)`` returns (value, error, evaluations)."""
+    total = 0.0 + 0.0j
+    err_total = 0.0
+    evals = 0
+    span = breaks[-1] - breaks[0]
+    stack = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b > a:
+            stack.append((a, b, tol * (b - a) / span, 0))
+    stack.reverse()
+    while stack:
+        a, b, tol_i, depth = stack.pop()
+        h = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        v15 = 0.0 + 0.0j
+        v7 = 0.0 + 0.0j
+        node_err = 0.0
+        for x, wgt in zip(_GL15_X, _GL15_W):
+            v, e, n = f(mid + h * x)
+            v15 += wgt * v
+            node_err += wgt * e
+            evals += n
+        for x, wgt in zip(_GL7_X, _GL7_W):
+            v, e, n = f(mid + h * x)
+            v7 += wgt * v
+            node_err += wgt * e
+            evals += n
+        v15 *= h
+        v7 *= h
+        d = abs(v15 - v7)
+        if d <= tol_i or depth >= max_depth or (b - a) <= 1e-12 * span:
+            total += v15
+            err_total += d + h * node_err
+        else:
+            stack.append((mid, b, 0.5 * tol_i, depth + 1))
+            stack.append((a, mid, 0.5 * tol_i, depth + 1))
+    return total, err_total, evals
+
+
+def _block_exit_radius(sx, sy, ct, st, bx0, bx1, by0, by1):
+    if ct > 1e-300:
+        tx = (bx1 - sx) / ct
+    elif ct < -1e-300:
+        tx = (bx0 - sx) / ct
+    else:
+        tx = math.inf
+    if st > 1e-300:
+        ty = (by1 - sy) / st
+    elif st < -1e-300:
+        ty = (by0 - sy) / st
+    else:
+        ty = math.inf
+    return max(min(tx, ty), 0.0)
+
+
+def polar_patch(g, s, cancel, rest, multiplier, block, tol, extra_radii):
+    """Integral over an axis-aligned block around s in polar coordinates at
+    s, one column per angle."""
+    bx0, bx1, by0, by1 = block
+    sx, sy = s.real, s.imag
+    corners = sorted({math.atan2(cy - sy, cx - sx) for cx in (bx0, bx1) for cy in (by0, by1)})
+    breaks = corners + [corners[0] + 2.0 * math.pi]
+    seg_tol = tol / (4.0 * math.pi) / max(len(breaks) - 1, 1)
+
+    def column(theta):
+        ct, st = math.cos(theta), math.sin(theta)
+        rmax = _block_exit_radius(sx, sy, ct, st, bx0, bx1, by0, by1)
+        if rmax <= 0.0:
+            return 0.0 + 0.0j, 0.0, 0
+        e = complex(ct, st)
+        phase = {"recip": complex(ct, -st), "recip_conj": e}.get(cancel, 1.0 + 0.0j)
+
+        def fvec(r):
+            u = s + r * e
+            F = np.ones_like(u)
+            for kind, p in rest:
+                F = F / (u - p) if kind == "recip" else F / np.conj(u - p)
+            if multiplier is not None:
+                F = F * multiplier(u)
+            if cancel is None:
+                F = F * r
+            return F * phase
+
+        return column_gl(g, s, ct, st, rmax, fvec, seg_tol, extra_radii)
+
+    return adaptive_1d(column, breaks, tol)

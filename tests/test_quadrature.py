@@ -9,13 +9,15 @@ from expkernel.cauchy import make_transform
 from expkernel.density import (GridLayer, Mcg64, annulus_density, disc_density,
                                make_density, swiss_cheese, unit_disc_density)
 from expkernel.geometry import Annulus, Disk, Rectangle, disk_rect_area
+from expkernel import quadrature
 from expkernel.kernel import eval_E_disc
 from expkernel.quadrature import (InvalidPointError, TolNotReached,
                                   ToleranceError, cauchy_transform, disc_mass,
                                   integrate_bi_singular, integrate_diagonal,
                                   integrate_singular,
                                   radial_inverse_square_integral)
-from oracles import bi_singular_oracle, midpoint_rect
+from oracles import (adaptive_1d, bi_singular_oracle, column_exact, midpoint_rect,
+                     polar_patch, ray_segments)
 
 UNIT = unit_disc_density()
 
@@ -87,10 +89,13 @@ def test_bi_singular_determinism():
 
 def test_diagonal_dichotomy_unit_disc():
     for r in (0.0, 0.5, 0.9):
-        assert integrate_diagonal(UNIT, complex(r), 1e-6).divergent
+        dm = integrate_diagonal(UNIT, complex(r), 1e-6)
+        assert dm.divergent
+        assert type(dm.value) is float and type(dm.error_estimate) is float
     for r in (1.5, 2.0, 4.0):
         dm = integrate_diagonal(UNIT, complex(r), 1e-6)
         assert not dm.divergent
+        assert type(dm.value) is float and type(dm.error_estimate) is float
         np.testing.assert_allclose(dm.value, -math.log(1.0 - 1.0 / r ** 2),
                                    rtol=0, atol=1e-6)
 
@@ -100,13 +105,16 @@ def test_diagonal_annulus_center_closed_form():
     g = annulus_density(0j, 0.5, 1.0)
     dm = integrate_diagonal(g, 0j, 1e-9)
     assert not dm.divergent
+    assert type(dm.value) is float and type(dm.error_estimate) is float
     np.testing.assert_allclose(dm.value, 2.0 * math.log(2.0), rtol=1e-9)
 
 
 def test_diagonal_scaled_density_still_divergent():
     # a density bounded away from 1 still diverges at its density points
     g = disc_density(0j, 1.0, 0.3)
-    assert integrate_diagonal(g, 0j, 1e-6).divergent
+    dm = integrate_diagonal(g, 0j, 1e-6)
+    assert dm.divergent
+    assert type(dm.value) is float and type(dm.error_estimate) is float
 
 
 def test_diagonal_island_after_gap_divergent():
@@ -114,7 +122,9 @@ def test_diagonal_island_after_gap_divergent():
     # resumes deeper inside: w sits on a tiny island far below the support
     # radius, and the inverse-square mass there diverges
     g = make_density(0j, 1.0, [(Disk(0.0, 0.0, 0.025), 1.0)])
-    assert integrate_diagonal(g, 0j, 1e-6).divergent
+    dm = integrate_diagonal(g, 0j, 1e-6)
+    assert dm.divergent
+    assert type(dm.value) is float and type(dm.error_estimate) is float
 
 
 def test_diagonal_separated_island_value():
@@ -122,6 +132,7 @@ def test_diagonal_separated_island_value():
     g = make_density(0j, 1.0, [(Disk(0.4, 0.0, 0.1), 1.0)])
     dm = integrate_diagonal(g, 0j, 1e-6)
     assert not dm.divergent
+    assert type(dm.value) is float and type(dm.error_estimate) is float
 
     def f(u):
         inside = np.abs(u - 0.4) <= 0.1
@@ -138,6 +149,7 @@ def test_diagonal_estimate_bounds_error_outside_unit_disc():
     w = 1.5 + 0.2j
     dm = integrate_diagonal(UNIT, w, 1e-5)
     assert not dm.divergent
+    assert type(dm.value) is float and type(dm.error_estimate) is float
     assert abs(dm.value + math.log(1.0 - 1.0 / abs(w) ** 2)) <= dm.error_estimate
 
 
@@ -152,6 +164,7 @@ def test_diagonal_estimate_bounds_error_offset_discs():
         w = c + k * r * complex(math.cos(th), math.sin(th))
         dm = integrate_diagonal(disc_density(c, r), w, 1e-4)
         assert not dm.divergent
+        assert type(dm.value) is float and type(dm.error_estimate) is float
         err = abs(dm.value + math.log(1.0 - 1.0 / k ** 2))
         assert err <= dm.error_estimate, (c, r, w)
 
@@ -161,6 +174,7 @@ def test_disc_mass_lens_estimate_bounds_error():
     # the closed lens area cancels terms, so allow a few ulps of each term
     rho = 1.0 / 64.0
     mass, err = disc_mass(UNIT, 1.0 + 0j, rho, 1e-9)
+    assert type(mass) is float and type(err) is float
     terms = (rho * rho * math.acos(rho / 2.0), 2.0 * math.asin(rho / 2.0),
              -0.5 * rho * math.sqrt(4.0 - rho * rho))
     rounding = 8.0 * np.finfo(float).eps * sum(abs(t) for t in terms)
@@ -179,6 +193,7 @@ def test_disc_mass_rectangle_edge_and_corner_estimate_bounds_error(c):
     rho = 1.0 / 64.0
     g = make_density(0j, 1.0, [(Rectangle(*RECT), 1.0)])
     mass, err = disc_mass(g, c, rho, 1e-9)
+    assert type(mass) is float and type(err) is float
     exact = disk_rect_area(c.real, c.imag, rho, RECT[0], RECT[2], RECT[1], RECT[3])
     assert abs(mass - exact) <= err
 
@@ -190,12 +205,14 @@ def test_disc_mass_grid_vertex_estimate_bounds_error():
     rho, c = 1.0 / 64.0, 0.005 + 0j
     g = make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES))
     mass, err = disc_mass(g, c, rho, 1e-9)
+    assert type(mass) is float and type(err) is float
     exact = sum(GRID_VALUES[j, i] * disk_rect_area(c.real, c.imag, rho,
                                                    -0.4 + 0.2 * i, -0.2 + 0.2 * i,
                                                    -0.4 + 0.2 * j, -0.2 + 0.2 * j)
                 for j in range(4) for i in range(4))
     assert abs(mass - exact) <= err
     mass, err = disc_mass(g, -0.2 - 0.2j, rho, 1e-9)
+    assert type(mass) is float and type(err) is float
     with localcontext() as ctx:
         ctx.prec = 40
         pi = Decimal("3.141592653589793238462643383279502884197")
@@ -205,14 +222,17 @@ def test_disc_mass_grid_vertex_estimate_bounds_error():
 
 def test_radial_inverse_square_unit_disc():
     total, err = radial_inverse_square_integral(UNIT, 0j, 0.25, 1.0, 1e-9)
+    assert type(total) is float and type(err) is float
     np.testing.assert_allclose(total, 2.0 * math.log(4.0), rtol=1e-8)
     assert err < 1e-8
 
 
 def test_disc_mass_matches_area():
     mass, err = disc_mass(UNIT, 0j, 0.35, 1e-10)
+    assert type(mass) is float and type(err) is float
     np.testing.assert_allclose(mass, math.pi * 0.35 ** 2, rtol=1e-9)
-    mass, _ = disc_mass(UNIT, 0.9 + 0j, 0.2, 1e-10)
+    mass, err = disc_mass(UNIT, 0.9 + 0j, 0.2, 1e-10)
+    assert type(mass) is float and type(err) is float
     assert mass < math.pi * 0.2 ** 2  # partially outside the support
 
 
@@ -264,27 +284,27 @@ def _bi(w, lam):
 
 PIN_CASES = {
     "disc": (lambda: disc_density(0.2 + 0.1j, 0.7), _bi(0.1 + 0.2j, 0.5 - 0.1j), 1e-5, {},
-             "((2.4199040830333383+0.058171019941530976j), 3.2178394908163583e-06, 28117, 620193)"),
+             "((2.4199040830333383+0.05817101994153102j), 3.217839490885011e-06, 28117, 620193)"),
     "swiss_cheese": (lambda: swiss_cheese(0, 4), _bi(-0.1 + 0.4j, 0.3 + 0.2j), 1e-4, {},
-                     "((4.482349816945633+0.30984801699919173j), 3.821438001786457e-05, 21474, 469746)"),
+                     "((4.482349816945633+0.3098480169991917j), 3.8214380017939057e-05, 21474, 469746)"),
     "disc_and_annulus": (
         lambda: make_density(0j, 2.0, [(Disk(0.17, 0.23, 0.63), 0.49),
                                        (Annulus(0.12, 0.20, 0.38, 0.77), 0.50)]),
         _bi(-0.3 + 0.1j, 0.2 + 0.5j), 1e-4, {},
-        "((1.569844151996323+0.000787764161243959j), 2.554524940067608e-05, 66244, 1595269)"),
+        "((1.569844151996323+0.000787764161243959j), 2.5545249400659714e-05, 66244, 1595269)"),
     "rectangle_and_grid": (
         lambda: make_density(0j, 1.0, [(Rectangle(*RECT), 0.4)],
                              GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)),
         _bi(-0.35 + 0.05j, 0.15 - 0.25j), 1e-4, {},
-        "((-0.5227004573633132-0.7648772760412038j), 4.619206348519035e-05, 30610, 777473)"),
+        "((-0.5227004573633132-0.7648772760412038j), 4.619206348519713e-05, 30610, 777473)"),
     "grid_only": (lambda: make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)),
                   _bi(0.1 + 0.05j, -0.2 + 0.3j), 1e-4, {},
-                  "((0.43320345533253346-0.34729589520359583j), 3.154820130665284e-05, 22428, 568312)"),
+                  "((0.43320345533253346-0.34729589520359583j), 3.154820130664903e-05, 22428, 568312)"),
     "near_diagonal": (lambda: UNIT, _bi(0.3 + 0.2j, 0.30001 + 0.2j), 1e-4, {},
-                      "((71.9003228674432+7.2220891030871925e-06j), 1.3702584682278632e-05, 15159, 354950)"),
+                      "((71.9003228674432+7.222089103142704e-06j), 1.370258468229227e-05, 15159, 354950)"),
     "multiplier": (lambda: UNIT, [("recip", 0.4 + 0.1j)], 1e-5,
                    {"multiplier": make_transform(disc_density(0.3 - 0.2j, 0.5))},
-                   "((-0.12566370726556306-0.09424778110618273j), 3.487232836421231e-06, 21105, 545548)"),
+                   "((-0.12566370726556306-0.09424778110618273j), 3.4872328364140174e-06, 21105, 545548)"),
 }
 
 
@@ -294,8 +314,133 @@ def test_engine_results_pinned(name):
     # to the last bit: the cases cover constant cells (25 evaluations each),
     # exact-mass cells crossed by one or two boundaries (one evaluation each),
     # grid-straddle cells, a block split one cell from the diagonal, and a
-    # multiplier integrand.  The last bits depend on the numpy and libm build,
-    # down to the loop numpy picks for an array's shape.
+    # multiplier integrand.  The polar patches sum their Gauss nodes in a fixed
+    # order, so the last bits do not depend on which BLAS dot kernel the CPU
+    # selects; they do depend on the numpy and libm build, down to the loop
+    # numpy picks for an array's shape.
     density, factors, tol, kw, want = PIN_CASES[name]
     r = integrate_singular(density(), factors, tol, **kw)
     assert repr((r.value, r.error_estimate, r.cells, r.evaluations)) == want
+
+
+# ---------------------------------------------------------------------------
+# Array passes of the radial columns and the angular rule against the scalar
+# loops they replace (tests/oracles.py)
+
+MIXED = make_density(0j, 1.0, [(Disk(0.1, -0.05, 0.45), 0.3),
+                               (Annulus(-0.2, 0.1, 0.2, 0.5), 0.2), (Rectangle(*RECT), 0.1)],
+                     GridLayer(-0.4, -0.4, 0.2, GRID_VALUES * 0.3))
+
+
+def _segment_rows(ray, a, b, gv, n):
+    rows = [[] for _ in range(n)]
+    for k, x0, x1, v in zip(ray.tolist(), a.tolist(), b.tolist(), gv.tolist()):
+        rows[k].append((x0, x1, v))
+    return rows
+
+
+def _rays(origin, targets):
+    """Unit directions from origin to each target, as the library's ray arrays."""
+    d = np.array([complex(t) - origin for t in targets])
+    return d.real / np.abs(d), d.imag / np.abs(d)
+
+
+@pytest.mark.parametrize("origin,r_lo,extra", [
+    (0j, 0.0, (1.0,)),  # the support circle's crossing along the axes
+    (0.1 + 0.05j, 0.0, (0.25,)),
+    (-0.3 + 0.2j, 0.05, ()),
+    # the third radius is 1e-15 relative from the first but not the second
+    (0.5 - 0.2j, 0.0, (0.6, 0.6 * (1 + 6e-16), 0.6 * (1 + 1.2e-15))),
+    (1.3 + 0.4j, 0.8, ()),
+])
+def test_ray_segments_equal_scalar_reference_bit_for_bit(origin, r_lo, extra):
+    sx, sy = origin.real, origin.imag
+    theta = 2.0 * math.pi * np.array(Mcg64(17).uniforms(400))
+    ct, st = np.cos(theta), np.sin(theta)
+    # tangent to the disc and to the annulus's circles, through a rectangle
+    # corner and a grid vertex, along both axes and next to them
+    special = []
+    for cx, cy, r in ((0.1, -0.05, 0.45), (-0.2, 0.1, 0.2), (-0.2, 0.1, 0.5), (0.0, 0.0, 1.0)):
+        d = complex(cx, cy) - origin
+        if abs(d) > r:
+            for sign in (1, -1):
+                special.append(cmath.phase(d) + sign * math.asin(r / abs(d)))
+    for corner in (RECT[0] + 1j * RECT[1], RECT[2] + 1j * RECT[3], 0.2 + 0.2j, -0.2 - 0.4j):
+        if corner != origin:
+            special.append(cmath.phase(corner - origin))
+    special += [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 1e-15, 0.5 * math.pi + 1e-15]
+    ct = np.concatenate((ct, np.cos(special), [0.0, -1.0, 5e-15]))
+    st = np.concatenate((st, np.sin(special), [1.0, 0.0, -1.0]))
+    vx, vy = _rays(origin, [0.2 + 0.2j, RECT[2] + 1j * RECT[1]])
+    ct, st = np.concatenate((ct, vx)), np.concatenate((st, vy))
+    for r_hi in (2.5, 0.3 + 0.9 * np.arange(ct.size) / ct.size):
+        got = _segment_rows(*quadrature._ray_segments(MIXED, sx, sy, ct, st, r_lo, r_hi, extra),
+                            ct.size)
+        his = np.broadcast_to(r_hi, ct.shape)
+        for k in range(ct.size):
+            want = ray_segments(MIXED, sx, sy, float(ct[k]), float(st[k]), r_lo, float(his[k]),
+                                extra)
+            assert got[k] == want, (k, ct[k], st[k])
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+PATCH_CASES = [
+    (UNIT, 0.3 + 0.2j, "recip", (("recip_conj", 0.31 + 0.23j),), None, 1e-6),
+    (UNIT, 0.3 + 0.2j, "recip_conj", (("recip", 0.25 + 0.22j),), None, 1e-6),
+    (MIXED, -0.21 + 0.19j, "recip", (("recip_conj", 0.05j),), None, 1e-7),
+    (MIXED, 0.4 + 0.2j, None, (("recip", 0.1j),), None, 1e-6),
+    (UNIT, 0.4 + 0.1j, "recip", (), make_transform(disc_density(0.3 - 0.2j, 0.5)), 1e-7),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PATCH_CASES)))
+def test_polar_patch_matches_scalar_reference(case):
+    g, s, cancel, rest, mult, tol = PATCH_CASES[case]
+    block = (s.real - 0.03, s.real + 0.05, s.imag - 0.04, s.imag + 0.02)
+    extra = tuple(abs(p - s) for _, p in rest)
+    v, e, n = quadrature._polar_patch(g, s, cancel, rest, mult, block, tol, extra)
+    rv, re_, rn = polar_patch(g, s, cancel, rest, mult, block, tol, extra)
+    assert n == rn
+    assert _close(v, rv) and _close(e, re_)
+    assert type(v) is complex and type(e) is float and type(n) is int
+
+
+@pytest.mark.parametrize("g,c,r_lo,r_hi,weight,tol", [
+    (UNIT, 1.5 + 0.2j, 0.9, 1.8, "invsq", 1e-9),
+    (UNIT, 1.0 + 0j, 0.0, 1.0 / 64.0, "mass", 1e-9),
+    (MIXED, 0.2 + 0.2j, 0.0, 0.3, "mass", 1e-10),
+    (MIXED, 0.405 + 0.205j, 0.01, 1.5, "invsq", 1e-8),
+])
+def test_radial_exact_matches_scalar_reference(monkeypatch, g, c, r_lo, r_hi, weight, tol):
+    # the angular breaks are the library's own; the rule and the columns are the references
+    seen = []
+
+    def spy(f, breaks, tol):
+        seen.append((list(breaks), tol))
+        return adaptive(f, breaks, tol)
+
+    adaptive = quadrature._adaptive_1d
+    monkeypatch.setattr(quadrature, "_adaptive_1d", spy)
+    v, e = quadrature._radial_exact(g, c, r_lo, r_hi, weight, tol)
+    (breaks, rule_tol), = seen
+    rv, re_, _ = adaptive_1d(lambda t: (*column_exact(g, c.real, c.imag, math.cos(t), math.sin(t),
+                                                      r_lo, r_hi, weight), 1), breaks, rule_tol)
+    assert _close(v, rv.real) and _close(e, re_)
+    assert type(v) is float and type(e) is float
+
+
+def test_small_chunks_give_the_same_bits(monkeypatch):
+    g, s, cancel, rest, mult, tol = PATCH_CASES[2]
+    block = (s.real - 0.03, s.real + 0.05, s.imag - 0.04, s.imag + 0.02)
+
+    def run():
+        return (quadrature._polar_patch(g, s, cancel, rest, mult, block, tol, (0.2,)),
+                quadrature._radial_exact(MIXED, 0.405 + 0.205j, 0.01, 1.5, "invsq", 1e-6),
+                quadrature._radial_exact(MIXED, 0.2 + 0.2j, 0.0, 0.3, "mass", 1e-8))
+
+    want = run()
+    monkeypatch.setattr(quadrature, "_CHUNK", 100)
+    assert repr(run()) == repr(want)
