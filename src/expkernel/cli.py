@@ -38,10 +38,14 @@ def _parse_complex(text: str) -> complex:
     try:
         if "," in s:
             re, im = s.split(",")
-            return complex(float(re), float(im))
-        return complex(s)
+            z = complex(float(re), float(im))
+        else:
+            z = complex(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+    if not np.isfinite(z):
+        raise argparse.ArgumentTypeError(f"not a finite complex number: {text!r}")
+    return z
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:
@@ -52,6 +56,8 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
         x0, x1, y0, y1 = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric bounds: {text!r}")
+    if not np.isfinite((x0, x1, y0, y1)).all():
+        raise argparse.ArgumentTypeError(f"non-finite bounds: {text!r}")
     if not (x0 < x1 and y0 < y1):
         raise argparse.ArgumentTypeError("bounds must satisfy x0 < x1, y0 < y1")
     return x0, x1, y0, y1

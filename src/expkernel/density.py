@@ -117,12 +117,12 @@ class GridLayer:
         for dj in range(int(np.max(j1 - j0, initial=0))):
             j = j0 + dj
             cy0 = self.origin_y + j * s
-            h = np.where(cy0 + s < y1, cy0 + s, y1) - np.where(cy0 > y0, cy0, y0)
+            h = np.minimum(cy0 + s, y1) - np.maximum(cy0, y0)
             row = (j < j1) & (h > 0.0)
             for di in range(int(np.max(i1 - i0, initial=0))):
                 i = i0 + di
                 cx0 = self.origin_x + i * s
-                w = np.where(cx0 + s < x1, cx0 + s, x1) - np.where(cx0 > x0, cx0, x0)
+                w = np.minimum(cx0 + s, x1) - np.maximum(cx0, x0)
                 v = self.values[np.minimum(j, self.ny - 1), np.minimum(i, self.nx - 1)]
                 total = np.where(row & (i < i1) & (w > 0.0), total + w * h * v, total)
         return total

@@ -12,7 +12,7 @@ that the adaptive integrator relies on:
 
 The two cell queries take arrays of cell bounds, so the integrator
 classifies and intersects a whole batch of cells at once; scalar bounds
-give 0-d arrays.  They reproduce scalar float arithmetic bit for bit.
+give 0-d arrays.
 ``ray_crossings`` likewise takes arrays of directions (ct, st) from one
 origin and returns one row of candidate radii per ray, nan where a ray has
 no crossing, with a fixed number of columns per region.
@@ -30,27 +30,11 @@ OUTSIDE = -1
 STRADDLE = 0
 
 
-def _pymax(a, b):
-    """Elementwise max(a, b) with Python's tie rule: a unless b > a."""
-    return np.where(b > a, b, a)
-
-
-def _pymin(a, b):
-    """Elementwise min(a, b) with Python's tie rule: a unless b < a."""
-    return np.where(b < a, b, a)
-
-
-def _sq(x):
-    """x ** 2 by C pow(), as Python floats square; numpy's x**2 multiplies and
-    can differ in the last bit."""
-    return np.frompyfunc(pow, 2, 1)(x, 2).astype(float)
-
-
 def _sqrt_prim(cx, r, x):
     """Primitive of sqrt(r^2 - (x-cx)^2) at x (clamped to the chord)."""
-    t = _pymin(1.0, _pymax(-1.0, (x - cx) / r))
-    asin = np.frompyfunc(math.asin, 1, 1)(t).astype(float)
-    return 0.5 * (r * r * asin + (x - cx) * np.sqrt(_pymax(r * r - _sq(x - cx), 0.0)))
+    u = x - cx
+    return 0.5 * (r * r * np.arcsin(np.clip(u / r, -1.0, 1.0))
+                  + u * np.sqrt(np.maximum(r * r - u * u, 0.0)))
 
 
 def disk_rect_area(cx, cy, r, x0, x1, y0, y1):
@@ -65,8 +49,8 @@ def disk_rect_area(cx, cy, r, x0, x1, y0, y1):
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                  for v in (cx, cy, r, x0, x1, y0, y1)))
     out = np.zeros(args[0].shape)
-    lo = _pymax(args[3], args[0] - args[2])
-    hi = _pymin(args[4], args[0] + args[2])
+    lo = np.maximum(args[3], args[0] - args[2])
+    hi = np.minimum(args[4], args[0] + args[2])
     live = (args[2] > 0.0) & (lo < hi)
     cx, cy, r, x0, x1, y0, y1 = (a[live] for a in args)
     lo, hi = lo[live], hi[live]
@@ -85,20 +69,21 @@ def disk_rect_area(cx, cy, r, x0, x1, y0, y1):
     for k in range(xs.shape[1] - 1):
         a, b = xs[:, k], xs[:, k + 1]
         w = b - a
-        s = np.sqrt(_pymax(r * r - _sq(0.5 * (a + b) - cx), 0.0))
+        u = 0.5 * (a + b) - cx
+        s = np.sqrt(np.maximum(r * r - u * u, 0.0))
         seg = prim[:, k + 1] - prim[:, k]
         upper = np.where(cy + s < y1, cy * w + seg, y1 * w)
         lower = np.where(cy - s > y0, cy * w - seg, y0 * w)
-        keep = (w > 0.0) & (_pymin(cy + s, y1) > _pymax(cy - s, y0))
+        keep = (w > 0.0) & (np.minimum(cy + s, y1) > np.maximum(cy - s, y0))
         total = np.where(keep, total + (upper - lower), total)
-    out[live] = _pymax(total, 0.0)
+    out[live] = np.maximum(total, 0.0)
     return out
 
 
 def rect_rect_area(ax0, ax1, ay0, ay1, bx0, bx1, by0, by1):
     """Area of the intersection of two axis-aligned rectangles; broadcasts."""
-    w = _pymin(ax1, bx1) - _pymax(ax0, bx0)
-    h = _pymin(ay1, by1) - _pymax(ay0, by0)
+    w = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    h = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     return np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
 
 

@@ -22,9 +22,10 @@ bounded multiplier and g is a DensitySpec.  Strategy:
   of the change from its parent to the sum of its siblings and itself;
 * the quadtree keeps its leaves as parallel numpy arrays (index, value,
   error), and each refinement step classifies, intersects, evaluates and
-  sums one whole batch of cells as array operations;
-* cell contributions are accumulated with a fixed-order pairwise summation,
-  so results are bit-identical for identical inputs.
+  sums one whole batch of cells as array operations, in numpy's own
+  arithmetic;
+* cell contributions are accumulated in a fixed order, so results are
+  bit-identical for identical inputs on one numpy build and CPU.
 
 The diagonal and disc-mass integrals use exact radial columns under an
 adaptive angular rule, broken wherever a column has a kink.
@@ -39,6 +40,7 @@ Sums over intervals, panels and Gauss nodes run in a fixed order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -81,6 +83,13 @@ def _check_tol(tol: float) -> float:
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
         raise ToleranceError(f"tolerance must be positive and finite, got {tol!r}")
     return float(tol)
+
+
+def _check_point(p) -> complex:
+    p = complex(p)
+    if not cmath.isfinite(p):
+        raise InvalidPointError(f"point must be finite, got {p!r}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -211,10 +220,6 @@ def _ray_segments(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.n
     return ray[live], a[live], b[live], gv[live]
 
 
-# libm's log, as math.log takes it; np.log can differ in the last bit.
-_log = np.frompyfunc(math.log, 1, 1)
-
-
 def _column_exact(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.ndarray,
                   r_lo: float, r_hi: float, weight: str) -> tuple[np.ndarray, np.ndarray]:
     """Per ray, the exact radial integral of g times r ('mass') or 1/r
@@ -230,7 +235,7 @@ def _column_exact(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.n
         term = gv * 0.5 * (b * b - a * a)
         size = np.abs(gv) * 0.5 * (b * b + a * a)
     else:
-        term = gv * _log(b / a).astype(float)
+        term = gv * np.log(b / a)
         size = np.abs(gv) + np.abs(term)
     total = np.zeros(ct.size)
     bound = np.zeros(ct.size)
@@ -468,29 +473,23 @@ class _Engine:
         """The cells outside every block, with the input index each came from.
 
         A cell inside a block is dropped (its polar patch covers it); one
-        partly over a block is replaced, in place, by its children, split
-        again where they overlap.  Splits run level by level over the whole
-        batch; a lexsort on the child digits restores depth-first order.
+        partly over a block is replaced by its children, split again where
+        they overlap.  Splits run level by level over the whole batch, and
+        the kept cells come out level by level, each level in input order.
         """
         src = np.arange(depth.size)
         if not self.blocks:
             return depth, ix, iy, src
-        kept, path = [], [src]
+        kept = []
         while True:
             rel = self._block_relation(depth, ix, iy)
-            kept.append([a[rel == 0] for a in (depth, ix, iy, *path)])
+            kept.append([a[rel == 0] for a in (depth, ix, iy, src)])
             split = rel == -1
             if not split.any():
                 break
             depth, ix, iy = self._children(depth[split], ix[split], iy[split])
-            path = [np.repeat(p[split], 4) for p in path] + [np.tile(np.arange(4), depth.size // 4)]
-        # Columns depth, ix, iy, input index, then one child digit per split
-        # level.  A kept cell has no descendants, so zero-padded digit paths
-        # sort the cells depth first.
-        cols = [np.concatenate([k[i] if i < len(k) else np.zeros(k[0].size, dtype=np.int64)
-                                for k in kept]) for i in range(3 + len(kept))]
-        order = np.lexsort(cols[:2:-1])
-        return tuple(c[order] for c in cols[:4])
+            src = np.repeat(src[split], 4)
+        return tuple(np.concatenate(c) for c in zip(*kept))
 
     # -- classification and evaluation
 
@@ -629,7 +628,7 @@ def integrate_singular(g: DensitySpec, factors, tol: float, multiplier=None,
     each refinement pass, so the last pass can end past it.
     """
     tol = _check_tol(tol)
-    factors = tuple((k, complex(s)) for k, s in factors)
+    factors = tuple((k, _check_point(s)) for k, s in factors)
     engine = _Engine(g, factors, multiplier, budget)
     # Point -> the factor kind its polar patch cancels (None for attention
     # points); a second factor at the same point keeps the first cancellation.
@@ -637,7 +636,7 @@ def integrate_singular(g: DensitySpec, factors, tol: float, multiplier=None,
     for kind, s in factors:
         kinds.setdefault(s, kind)
     for p in attention:
-        kinds.setdefault(complex(p), None)
+        kinds.setdefault(_check_point(p), None)
     placed = engine.set_blocks(list(kinds))
     patch_tol = 0.5 * tol / len(placed) if placed else 0.0
     tree_tol = 0.5 * tol if placed else tol
@@ -784,7 +783,7 @@ def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> Diagona
     when the remaining disc is provably free of support.
     """
     tol = _check_tol(tol)
-    w = complex(w)
+    w = _check_point(w)
     cr = clear_radius(g, w)
     r_top = abs(w - g.support_center) + g.support_radius
     acc = 0.0
@@ -819,7 +818,7 @@ def radial_inverse_square_integral(g: DensitySpec, center: complex, r_lo: float,
     tol = _check_tol(tol)
     if not (0.0 < r_lo < r_hi):
         raise InvalidPointError("need 0 < r_lo < r_hi")
-    v, e = _radial_exact(g, complex(center), r_lo, r_hi, "invsq", tol * math.pi)
+    v, e = _radial_exact(g, _check_point(center), r_lo, r_hi, "invsq", tol * math.pi)
     return v / math.pi, e / math.pi
 
 
@@ -827,4 +826,4 @@ def disc_mass(g: DensitySpec, center: complex, radius: float,
               tol: float = 1e-9) -> tuple[float, float]:
     """integral of g over the disc D(center, radius) by exact radial columns."""
     tol = _check_tol(tol)
-    return _radial_exact(g, complex(center), 0.0, radius, "mass", tol)
+    return _radial_exact(g, _check_point(center), 0.0, radius, "mass", tol)

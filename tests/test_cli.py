@@ -151,3 +151,12 @@ def test_bad_complex_argument_is_usage_error():
     r = run_cli("eval", "unit-disc", "--lam", "spam", "--w", "0,0")
     assert r.returncode == 2
     assert "not a complex number" in r.stderr
+    # nan and inf parse as floats but name no point
+    for args in (("eval", "unit-disc", "--lam", "nan,0", "--w", "0,0"),
+                 ("eval", "unit-disc", "--lam", "0,0", "--w", "nan,0"),
+                 ("eval", "unit-disc", "--lam", "inf", "--w", "0,0"),
+                 ("grid", "unit-disc", "--w", "0,0", "--bounds", "-inf,1,-1,1", "--n", "2"),
+                 ("estimate", "unit-disc", "--w", "nan,0", "--mode", "gamma")):
+        r = run_cli(*args)
+        assert r.returncode == 2, args
+        assert "finite" in r.stderr, args

@@ -1,0 +1,14 @@
+import re
+from pathlib import Path
+
+import expkernel
+
+
+def test_array_code_makes_no_per_element_python_calls():
+    # np.frompyfunc and np.vectorize call Python once per element; array
+    # passes use numpy's own ufuncs
+    hits = [f"{path.name}:{n}"
+            for path in sorted(Path(expkernel.__file__).parent.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\b(frompyfunc|vectorize)\b", line)]
+    assert hits == []
