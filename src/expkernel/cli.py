@@ -1,10 +1,15 @@
 """Command-line front end: evaluate the kernel, export grids, run the
 verification suites, and run the pointwise estimators.
 
+``eval`` and ``grid`` integrate along the jumps of the density off the
+diagonal (``grid`` in one call for all its nodes) and take integrate_diagonal
+on it; the 2-D quadtree serves the verification suites.
+
 Exit codes: 0 success, 1 failed verification check, 2 configuration or
 argument violation, 3 tolerance violation (a tolerance that is not positive
-and finite, the quadrature budget ran out above tolerance, or lam and w are
-too close to separate), 4 estimator precondition or convergence failure.
+and finite, an error estimate above tolerance, or, in the quadtree of a
+verification suite, singular points too close to separate), 4 estimator
+precondition or convergence failure.
 Identical invocations produce byte-identical output.
 """
 
@@ -19,7 +24,7 @@ from .analysis import NonConvergent, PreconditionFailed, estimate_density, \
     estimate_lipschitz_exponent
 from .density import DensityConfigError, DensitySpec, PlacementError, \
     load_density_file, make_density, swiss_cheese, unit_disc_density
-from .kernel import DIAGONAL_DIVERGENT, eval_E
+from .kernel import DIAGONAL_DIVERGENT, eval_E, eval_E_off_diagonal
 from .quadrature import TolNotReached, ToleranceError, _check_tol
 from .suites import SUITES
 
@@ -101,16 +106,17 @@ def cmd_grid(args) -> int:
     if args.n < 2:
         raise DensityConfigError(f"grid size must be >= 2, got {args.n}")
     x0, x1, y0, y1 = args.bounds
-    xs = np.linspace(x0, x1, args.n)
-    ys = np.linspace(y0, y1, args.n)
+    lams = np.array([complex(x, y) for y in np.linspace(y0, y1, args.n)
+                     for x in np.linspace(x0, x1, args.n)])
+    off = lams != args.w
+    values, errors = np.zeros(lams.size, dtype=complex), np.zeros(lams.size)
+    values[off], errors[off] = eval_E_off_diagonal(g, lams[off], args.w, tol)
+    for k in np.flatnonzero(~off):
+        kv = eval_E(g, args.w, args.w, tol)
+        values[k], errors[k] = kv.value, kv.error_estimate
     lines = ["x,y,re_E,im_E,abs_E,err"]
-    for y in ys:
-        for x in xs:
-            kv = eval_E(g, complex(x, y), args.w, tol)
-            v = kv.value
-            lines.append(",".join(_fmt(t) for t in
-                                  (x, y, v.real, v.imag, abs(v),
-                                   kv.error_estimate)))
+    for lam, v, e in zip(lams, values, errors):
+        lines.append(",".join(_fmt(t) for t in (lam.real, lam.imag, v.real, v.imag, abs(v), e)))
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

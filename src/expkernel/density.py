@@ -56,12 +56,17 @@ class Mcg64:
         """The next n deviates at once, bit-identical to n calls of uniform().
 
         state_k = MULTIPLIER^k * state_0 mod 2^64: uint64 array products wrap
-        mod 2^64, so jump-ahead powers reproduce the stream exactly.
+        mod 2^64, so jump-ahead powers reproduce the stream exactly.  The
+        powers come in blocks of 256, M^(256 j) * M^i, not as one sequential
+        product over all n.
         """
-        powers = np.multiply.accumulate(np.full(n, self.MULTIPLIER, dtype=np.uint64))
-        states = powers * np.array(self.state, dtype=np.uint64)
+        first = np.multiply.accumulate(np.full(min(n, 256), self.MULTIPLIER, dtype=np.uint64))
+        blocks = np.multiply.accumulate(np.full(-(-n // 256), first[-1], dtype=np.uint64))
+        blocks = np.concatenate((np.ones(1, dtype=np.uint64), blocks[:-1]))
+        states = (blocks[:, None] * (first * np.uint64(self.state))).ravel()[:n]
         self.state = int(states[-1])
-        return (states >> np.uint64(11)) * 2.0 ** -53
+        states >>= np.uint64(11)
+        return states * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -156,12 +161,15 @@ def eval_density(g: DensitySpec, u) -> float | np.ndarray:
     im = uu.imag
     val = np.zeros(uu.shape, dtype=float)
     for region, coeff in g.terms:
-        val += coeff * region.contains(uu)
+        np.add(val, coeff, out=val, where=region.contains(uu))
     if g.grid is not None:
         val += g.grid.eval(re, im)
     dx = re - g.support_center.real
     dy = im - g.support_center.imag
-    val = np.where(dx * dx + dy * dy <= g.support_radius ** 2, val, 0.0)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    val = np.where(dx <= g.support_radius ** 2, val, 0.0)
     return float(val) if scalar else val
 
 

@@ -116,9 +116,13 @@ class Disk:
     r: float
 
     def contains(self, u):
+        # in place: fresh temporaries of validation-sized arrays cost page faults
         re = np.real(u) - self.cx
         im = np.imag(u) - self.cy
-        return re * re + im * im <= self.r * self.r
+        re *= re
+        im *= im
+        re += im
+        return re <= self.r * self.r
 
     def classify_cell(self, x0, x1, y0, y1):
         ndx = np.maximum(np.maximum(x0 - self.cx, 0.0), self.cx - x1)
@@ -154,9 +158,11 @@ class Annulus:
     r_outer: float
 
     def contains(self, u):
-        re = np.real(u) - self.cx
+        d2 = np.real(u) - self.cx
         im = np.imag(u) - self.cy
-        d2 = re * re + im * im
+        d2 *= d2
+        im *= im
+        d2 += im
         return (d2 >= self.r_inner * self.r_inner) & (d2 <= self.r_outer * self.r_outer)
 
     def classify_cell(self, x0, x1, y0, y1):

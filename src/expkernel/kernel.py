@@ -26,12 +26,15 @@ closed-form tail bounds used to truncate the singular integral.
 from __future__ import annotations
 
 import math
-import cmath
 from dataclasses import dataclass
 
 from .density import DensitySpec, disc_density
 from .geometry import Disk
+import numpy as np
+
 from .quadrature import (
+    TolNotReached,
+    boundary_log_kernel,
     integrate_bi_singular,
     integrate_diagonal,
     radial_inverse_square_integral,
@@ -45,6 +48,7 @@ __all__ = [
     "mobius_real_disc",
     "mobius_imag_disc",
     "eval_E",
+    "eval_E_off_diagonal",
     "eval_E_unit_disc",
     "eval_E_disc",
     "eval_E_signed_discs",
@@ -134,8 +138,9 @@ def mobius_imag_disc(lam: complex, w: complex, beta: float) -> MobiusDiscParams:
 def eval_E(g: DensitySpec, lam: complex, w: complex, tol: float = 1e-6) -> KernelValue:
     """Evaluate E_g(lam, w) by adaptive quadrature of the exponent.
 
-    Off the diagonal the exponent is integrated directly; on the diagonal the
-    inverse-square mass decides between 0 (divergent) and exp(-I) (finite).
+    Off the diagonal the exponent is a sum of integrals along the jumps of g
+    (eval_E_off_diagonal); on the diagonal the inverse-square mass of
+    integrate_diagonal decides between 0 (divergent) and exp(-I) (finite).
     The quadrature error err on the exponent propagates to |E| (e^err - 1).
     """
     lam = complex(lam)
@@ -147,10 +152,23 @@ def eval_E(g: DensitySpec, lam: complex, w: complex, tol: float = 1e-6) -> Kerne
         value = math.exp(-dm.value)
         return KernelValue(complex(value), DIAGONAL_FINITE,
                            value * math.expm1(dm.error_estimate))
-    res = integrate_bi_singular(g, w, lam, tol)
-    value = cmath.exp(res.value)
-    return KernelValue(value, OFF_DIAGONAL,
-                       abs(value) * math.expm1(res.error_estimate))
+    value, err = eval_E_off_diagonal(g, np.array([lam]), w, tol)
+    return KernelValue(complex(value[0]), OFF_DIAGONAL, float(err[0]))
+
+
+def eval_E_off_diagonal(g: DensitySpec, lams, w: complex, tol: float = 1e-6):
+    """E_g(lam, w) at every lam of an array (none equal to w) by one call of
+    boundary_log_kernel: arrays (values, error estimates).  An estimate above
+    ``tol`` (on the integral, as in integrate_bi_singular) raises TolNotReached."""
+    f, err, evals = boundary_log_kernel(g, w, lams, tol)
+    bad = np.flatnonzero(math.pi * err > tol * (1.0 + 1e-9))
+    if bad.size:
+        k = bad[np.argmax(err[bad])]
+        raise TolNotReached(f"error estimate {math.pi * err[k]:.3e} above tolerance {tol:.3e} at "
+                            f"lam = {complex(lams[k])} after {evals[k]} evaluations",
+                            complex(-math.pi * f[k]), float(math.pi * err[k]))
+    value = np.exp(f)
+    return value, np.abs(value) * np.expm1(err)
 
 
 def eval_E_unit_disc(lam: complex, w: complex) -> complex:

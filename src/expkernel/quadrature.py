@@ -1,6 +1,11 @@
-"""Adaptive planar quadrature for densities with isolated rational singularities.
+"""Adaptive quadrature for densities with isolated rational singularities.
 
-The engine evaluates integrals of the form
+Two routes.  boundary_log_kernel, the route of kernel.eval_E off the
+diagonal, integrates the log kernel along the jumps of g with one vectorized
+1-D rule, many lam at once.  The 2-D quadtree, integrate_singular, serves
+multiplier integrands and cross-checks it.
+
+The quadtree evaluates integrals of the form
 
     I = integral  prod_k S_k(u) * m(u) * g(u)  da(u)
 
@@ -54,7 +59,7 @@ __all__ = [
     "QuadratureResult", "DiagonalMass", "InvalidPointError", "ToleranceError",
     "QuadratureError", "TolNotReached", "integrate_singular",
     "integrate_bi_singular", "cauchy_transform", "integrate_diagonal",
-    "radial_inverse_square_integral", "disc_mass",
+    "radial_inverse_square_integral", "disc_mass", "boundary_log_kernel",
 ]
 
 
@@ -144,6 +149,9 @@ _MAX_DEPTH_1D = 24
 _MAX_DEPTH_GL = 10
 # Rays times crossing columns per pass of a column function (memory bound).
 _CHUNK = 1 << 16
+# boundary_log_kernel breaks a curve at a point's nearest point when the
+# point lies within this fraction of the curve's length of it.
+_NEAR = 0.125
 
 
 def _factor_values(pts: np.ndarray, factors: tuple[Factor, ...], multiplier) -> np.ndarray:
@@ -167,15 +175,15 @@ def _factor_values(pts: np.ndarray, factors: tuple[Factor, ...], multiplier) -> 
 def _node_sum(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Per row of f, the sum of w[k] * f[:, k], node after node: a fixed
     order, where a BLAS dot product's order depends on the CPU."""
-    total = np.zeros(f.shape[0], dtype=f.dtype)
+    total = np.zeros(f.shape[:1] + f.shape[2:], dtype=f.dtype)
     for k, wk in enumerate(w):
         total = total + wk * f[:, k]
     return total
 
 
 def _ordered_sum(x: np.ndarray):
-    """The sum of x from left to right (np.sum adds pairwise)."""
-    return np.add.accumulate(np.concatenate(([0.0], x)))[-1]
+    """The sum of x along its first axis, from first to last (np.sum adds pairwise)."""
+    return np.add.accumulate(np.concatenate((np.zeros((1,) + x.shape[1:]), x)))[-1]
 
 
 def _crossings(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.ndarray,
@@ -298,12 +306,16 @@ def _chunked(column, g: DensitySpec, s: complex, extra: tuple[float, ...] = ()):
 
 
 def _adaptive_1d(f, breaks: list[float], tol: float):
-    """Adaptive GL15/GL7 integration over consecutive intervals, level by level.
+    """Adaptive GL15/GL7 integration of one or more integrands over
+    consecutive intervals, level by level.
 
     Each pass sends the 22 nodes of every open interval to ``f`` in one
-    call; ``f(x)`` returns arrays (values, errors, evaluations), and node
-    errors are propagated into the total estimate alongside the two-level
-    rule differences.  Finished intervals are summed from left to right.
+    call; ``f(x)`` returns (values, errors, evaluations), values and errors
+    with a row per node and a column per integrand (1-D for one).  An
+    interval stays open while any column's rule difference exceeds both its
+    share of tol and its node errors, which join the column's estimate.
+    Finished intervals are summed from left to right: arrays (values,
+    errors) per column, and the evaluations.
     """
     breaks = np.asarray(breaks, dtype=float)
     span = breaks[-1] - breaks[0]
@@ -318,18 +330,20 @@ def _adaptive_1d(f, breaks: list[float], tol: float):
         h = 0.5 * (b - a)
         mid = 0.5 * (a + b)
         v, e, n = f((mid[:, None] + h[:, None] * _GL22_X).ravel())
-        v, e = v.reshape(-1, 22), e.reshape(-1, 22)
+        v, e = v.reshape(a.size, 22, -1), e.reshape(a.size, 22, -1)
         evals += int(np.sum(n))
-        v15 = _node_sum(_GL15_W, v[:, :15]) * h
-        diff = v15 - _node_sum(_GL7_W, v[:, 15:]) * h
+        v15 = _node_sum(_GL15_W, v[:, :15]) * h[:, None]
+        diff = v15 - _node_sum(_GL7_W, v[:, 15:]) * h[:, None]
         d = np.hypot(diff.real, diff.imag)
-        ok = (d <= tol_i) | (depth >= _MAX_DEPTH_1D) | ((b - a) <= 1e-12 * span)
-        done.append((a[ok], v15[ok], d[ok] + h[ok] * _node_sum(_GL22_W, e[ok])))
+        noise = h[:, None] * _node_sum(_GL22_W, e)
+        ok = (np.all((d <= tol_i[:, None]) | (d <= noise), axis=1) | (depth >= _MAX_DEPTH_1D)
+              | ((b - a) <= 1e-12 * span))
+        done.append((a[ok], v15[ok], d[ok] + noise[ok]))
         a, b, tol_i = (np.concatenate(p) for p in ((a[~ok], mid[~ok]), (mid[~ok], b[~ok]),
                                                     (0.5 * tol_i[~ok], 0.5 * tol_i[~ok])))
     a, v, e = (np.concatenate(c) for c in zip(*done))
     order = np.argsort(a, kind="stable")
-    return complex(_ordered_sum(v[order])), float(_ordered_sum(e[order])), evals
+    return _ordered_sum(v[order]), _ordered_sum(e[order]), evals
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +401,8 @@ def _polar_patch(g: DensitySpec, s: complex, cancel: str | None,
         rmax = _block_exit_radius(sx, sy, ct, st, block)
         return _column_gl(g, s, ct, st, rmax, fvec, seg_tol / n_cols_budget, extra_radii)
 
-    return _adaptive_1d(_chunked(column, g, s, extra_radii), breaks, tol)
+    v, e, n = _adaptive_1d(_chunked(column, g, s, extra_radii), breaks, tol)
+    return complex(v[0]), float(e[0]), n
 
 
 # ---------------------------------------------------------------------------
@@ -695,26 +710,118 @@ def cauchy_transform(g: DensitySpec, lam: complex, tol: float, multiplier=None,
 
 
 def _circles(g: DensitySpec):
-    """(center, radius) of every circle on which g can jump."""
-    yield g.support_center, g.support_radius
-    for region, _ in g.terms:
+    """(center, radius, jump) of every circle on which g can jump; the jump is
+    g inside minus g outside (the support circle carries none)."""
+    yield g.support_center, g.support_radius, 0.0
+    for region, coeff in g.terms:
         if isinstance(region, Disk):
-            yield complex(region.cx, region.cy), region.r
+            yield complex(region.cx, region.cy), region.r, coeff
         elif isinstance(region, Annulus):
-            yield complex(region.cx, region.cy), region.r_inner
-            yield complex(region.cx, region.cy), region.r_outer
+            yield complex(region.cx, region.cy), region.r_inner, -coeff
+            yield complex(region.cx, region.cy), region.r_outer, coeff
 
 
 def _lattices(g: DensitySpec):
-    """(xs, ys) of every axis-aligned lattice on whose lines g can jump: each
-    rectangle's two edge abscissae and ordinates, and the grid lines."""
-    for region, _ in g.terms:
-        if isinstance(region, Rectangle):
-            yield (region.x0, region.x1), (region.y0, region.y1)
+    """(xs, ys, vjump, hjump) of each rectangle (one cell of its coefficient)
+    and the grid: vjump[j, k] is g left minus right of line xs[k] between
+    ys[j] and ys[j + 1], hjump[k, i] g below minus above line ys[k] between
+    xs[i] and xs[i + 1]."""
+    cells = [((region.x0, region.x1), (region.y0, region.y1), np.array([[coeff]]))
+             for region, coeff in g.terms if isinstance(region, Rectangle)]
     grid = g.grid
     if grid is not None:
-        yield ([grid.origin_x + k * grid.spacing for k in range(grid.nx + 1)],
-               [grid.origin_y + k * grid.spacing for k in range(grid.ny + 1)])
+        cells.append(([grid.origin_x + k * grid.spacing for k in range(grid.nx + 1)],
+                      [grid.origin_y + k * grid.spacing for k in range(grid.ny + 1)],
+                      grid.values))
+    for xs, ys, values in cells:
+        v = np.pad(values, 1)
+        yield xs, ys, v[1:-1, :-1] - v[1:-1, 1:], v[:-1, 1:-1] - v[1:, 1:-1]
+
+
+def _jumps(g: DensitySpec):
+    """The curves where g jumps, end to end by arc length: arrays (start, length,
+    jump, origin, radius, direction).  A circle (radius > 0) runs counterclockwise
+    from origin + radius, a segment from origin along direction; the jump is g
+    left of the path minus g right of it.  Curves with no jump are left out."""
+    o, r, c = np.array([t for t in _circles(g) if t[2] != 0.0], dtype=complex).reshape(-1, 3).T
+    parts = [(o, r.real, c.real, np.zeros(o.size, dtype=complex), 2.0 * math.pi * r.real)]
+    for xs, ys, vjump, hjump in _lattices(g):
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        j, k = np.nonzero(vjump)  # upwards along xs[k]
+        parts.append((xs[k] + 1j * ys[j], np.zeros(k.size), vjump[j, k],
+                      np.full(k.size, 1j), ys[j + 1] - ys[j]))
+        k, i = np.nonzero(hjump)  # leftwards along ys[k]
+        parts.append((xs[i + 1] + 1j * ys[k], np.zeros(k.size), hjump[k, i],
+                      np.full(k.size, -1.0 + 0j), xs[i + 1] - xs[i]))
+    origin, radius, jump, direction, length = (np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(([0.0], np.cumsum(length))), length, jump, origin, radius, direction
+
+
+def boundary_log_kernel(g: DensitySpec, w: complex, lams, tol: float):
+    """f_w(lam) = -(1/pi) * integral g(u) / (conj(u-w)(u-lam)) da(u) for each
+    lam (!= w) of an array, along the jumps of g: arrays (values, error
+    estimates, evaluations).  ``tol`` bounds each integral's error, pi times
+    the value's, as in integrate_bi_singular; the caller checks estimates.
+
+    d log|u-w|^2 / d conj(u) = 1 / conj(u-w), so by Green's theorem each
+    piece of g gives (1/2i) * jump * the integral of
+    (log|u-w|^2 - log|lam-w|^2) / (u - lam) du along its boundary; with the
+    pole at lam subtracted no residue term is left, wherever lam lies.  One
+    rule runs over all curves and a chunk of lams (its columns), broken near
+    w and the lams; the estimate adds a rounding bound of the quotient.
+    """
+    tol = _check_tol(tol)
+    w = _check_point(w)
+    lams = np.asarray(lams, dtype=complex)
+    if not np.isfinite(lams).all():
+        raise InvalidPointError("points must be finite")
+    if np.any(lams == w):
+        raise InvalidPointError("lam = w: use integrate_diagonal")
+    start, length, jump, origin, radius, direction = _jumps(g)
+    values, errors, evals = (np.zeros(lams.size, dtype=t) for t in (complex, float, np.int64))
+    # Columns per chunk: about _CHUNK elements in the first pass, over the
+    # curves and about sixteen graded intervals per lam, shared by all columns.
+    step = max(1, int(math.sqrt(_CHUNK / 352 + (length.size / 32) ** 2) - length.size / 32))
+    for lo in range(0, lams.size if length.size else 0, step):
+        lam = lams[lo:lo + step]
+        ll = np.log(np.abs(lam - w))
+
+        def f(x):
+            k = np.searchsorted(start, x, side="right") - 1
+            t = x - start[k]
+            c = radius[k] > 0.0
+            e = np.exp(1j * t / np.where(c, radius[k], np.inf))
+            u = origin[k] + np.where(c, radius[k] * e, t * direction[k])
+            du = np.where(c, 1j * e, direction[k]) * (1j / math.pi) * jump[k]
+            uw = np.abs(u - w)
+            lu = np.log(uw)[:, None]
+            diff = u[:, None] - lam
+            num = lu - ll
+            dist = np.abs(diff)
+            # Rounding: each log keeps an ulp of its argument; u, an ulp off the
+            # curve, moves log|u-w| (|u|+|w|)/|u-w| ulps, the quotient more.
+            size = (2.0 + np.abs(ll) + (np.abs(lu) + ((np.abs(u) + abs(w)) / uw)[:, None])
+                    + np.abs(num) * (np.abs(u)[:, None] + np.abs(lam)) / dist)
+            return du[:, None] * (num / diff), _ROUNDING * np.abs(du)[:, None] * size / dist, x.size
+
+        # Each curve's points nearest to w and to the lams, at arc position t,
+        # and breaks 4^k times their distance d (at least 1e-12 of the curve)
+        # to either side: a first-pass interval much longer than its distance
+        # to a point could miss the peak there in both rules.
+        rel = np.concatenate(([w], lam))[:, None] - origin
+        t = np.where(radius > 0.0, radius * (np.angle(rel) % (2.0 * math.pi)),
+                     np.clip((rel * np.conj(direction)).real, 0.0, length))
+        dist = np.where(radius > 0.0, np.abs(np.abs(rel) - radius), np.abs(rel - t * direction))
+        p, k = np.nonzero(dist <= _NEAR * length)
+        grades = np.append(0.0, 4.0 ** np.arange(21))
+        d = np.maximum(dist[p, k], 1e-12 * length[k])[:, None] * grades
+        ln = length[k, None]
+        at = t[p, k, None] + np.concatenate((d, -d), axis=1)
+        at = np.where(radius[k, None] > 0.0, at % ln, np.clip(at, 0.0, ln))
+        breaks = np.unique(np.concatenate((start, (start[k, None] + at)[np.tile(d < ln, 2)])))
+        values[lo:lo + step], errors[lo:lo + step], evals[lo:lo + step] = _adaptive_1d(
+            f, breaks, tol / math.pi)
+    return values, errors, evals
 
 
 def _meets(off: float, rho: float):
@@ -740,7 +847,7 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
     cx, cy = c.real, c.imag
     tau = 2.0 * math.pi
     breaks = {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi}
-    for o, radius in _circles(g):
+    for o, radius, _ in _circles(g):
         d = abs(o - c)
         if radius <= 0.0 or d == 0.0:
             continue
@@ -754,7 +861,7 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
         for a in halves:
             breaks.update(((phi + a) % tau, (phi - a) % tau))
 
-    for xs, ys in _lattices(g):
+    for xs, ys, _, _ in _lattices(g):
         # corners and grid vertices in the annulus, and the points where
         # edges and grid lines meet its circles
         pts = [(x, y) for x in xs for y in ys
@@ -771,7 +878,7 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
         return v, e, np.ones(theta.size, dtype=np.int64)
 
     v, e, _ = _adaptive_1d(_chunked(column, g, c), sorted(breaks) + [tau], tol)
-    return v.real, e
+    return float(v[0].real), float(e[0])
 
 
 def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> DiagonalMass:
@@ -826,4 +933,6 @@ def disc_mass(g: DensitySpec, center: complex, radius: float,
               tol: float = 1e-9) -> tuple[float, float]:
     """integral of g over the disc D(center, radius) by exact radial columns."""
     tol = _check_tol(tol)
+    if math.isnan(radius):
+        raise InvalidPointError("radius must be a finite or infinite number, got nan")
     return _radial_exact(g, _check_point(center), 0.0, radius, "mass", tol)

@@ -127,12 +127,16 @@ def test_exit_code_tolerance():
     assert r.returncode == 3
 
 
-def test_exit_code_points_too_close():
-    # lam and w 3e-8 apart: too close for separate excised blocks
+def test_points_close_to_the_diagonal_evaluate():
+    # lam and w 3e-8 apart: too close for the quadtree's separate excised
+    # blocks, but the boundary route has no blocks
     r = run_cli("eval", "unit-disc", "--lam", "0.3,0.2", "--w", "0.3,0.20000003",
                 "--tol", "1e-3")
-    assert r.returncode == 3
-    assert "too close to separate" in r.stderr
+    assert r.returncode == 0
+    lam, w = 0.3 + 0.2j, 0.3 + 0.20000003j
+    got = complex(r.stdout.split()[1])
+    want = abs(lam - w) ** 2 / (1 - w.conjugate() * lam)  # about 1e-15
+    assert abs(got - want) <= 10 * 1e-3 * abs(want)
 
 
 def test_exit_code_estimator_precondition():

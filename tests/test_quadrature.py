@@ -91,6 +91,7 @@ def test_non_finite_points_are_rejected():
         lambda: cauchy_transform(UNIT, -inf, 1e-6),
         lambda: integrate_diagonal(UNIT, complex(0.0, nan)),
         lambda: disc_mass(UNIT, nan, 0.5),
+        lambda: disc_mass(UNIT, 0.0, nan),
         lambda: radial_inverse_square_integral(UNIT, inf, 0.1, 0.2),
     ]
     for call in calls:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import expkernel.cli
 import expkernel.suites  # noqa: F401  (the tracer wraps every expkernel module)
+from expkernel import quadrature
+from expkernel.density import unit_disc_density
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -17,6 +19,9 @@ def test_traced_eval_counts_geometry_and_quadrature(capsys):
     try:
         code = expkernel.cli.main(["eval", "unit-disc", "--lam", "0.5,0", "--w", "0,0",
                                    "--tol", "1e-4"])
+        # eval integrates along the jumps of g; the quadtree and its polar
+        # patch still run here
+        quadrature.cauchy_transform(unit_disc_density(), 0.5, 1e-4)
     finally:
         tracer.uninstall()
     assert code == 0
