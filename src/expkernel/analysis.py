@@ -13,8 +13,8 @@ Three quantities tied to the local behaviour of the exponential kernel:
 
   for small t, with K calibrated once at the largest t and held fixed.
 
-Slopes are fitted on the exponent itself (Re of the quadrature of the
-bi-singular integral), never on exp of it, so one absolute tolerance on the
+Slopes are fitted on the exponent itself (Re of the boundary-rule value of
+the kernel exponent), never on exp of it, so one absolute tolerance on the
 exponent serves every radius regardless of how small |E| gets.
 """
 
@@ -27,8 +27,8 @@ import numpy as np
 
 from .density import DensitySpec
 from .quadrature import (
+    boundary_log_kernel,
     disc_mass,
-    integrate_bi_singular,
     integrate_diagonal,
     radial_inverse_square_integral,
 )
@@ -116,7 +116,8 @@ def estimate_lipschitz_exponent(g: DensitySpec, w: complex,
 
     Requires the diagonal to diverge at w (so E(w,w) = 0 and the decay rate
     is meaningful); raises PreconditionFailed otherwise.  Works on
-    log|E| = Re of the exponent quadrature, with one absolute tolerance.
+    log|E| = Re of the exponent, all rays and radii in one boundary-rule
+    call, with one absolute tolerance.
     """
     w = complex(w)
     if schedule is None:
@@ -126,16 +127,9 @@ def estimate_lipschitz_exponent(g: DensitySpec, w: complex,
         raise PreconditionFailed(f"diagonal mass finite at w={w}")
     radii = schedule.radii()
     angles = 2.0 * math.pi * np.arange(_FIT_DIRECTIONS) / _FIT_DIRECTIONS
-    log_peaks = []
-    for r in radii:
-        best = -math.inf
-        for th in angles:
-            lam = w + float(r) * complex(math.cos(th), math.sin(th))
-            res = integrate_bi_singular(g, w, lam, _EXPONENT_TOL)
-            best = max(best, res.value.real)
-        log_peaks.append(best)
+    f, _, _ = boundary_log_kernel(g, w, w + radii[:, None] * np.exp(1j * angles), _EXPONENT_TOL)
     x = np.log(radii)
-    y = np.array(log_peaks)
+    y = f.real.max(axis=1)
     slope, intercept = np.polyfit(x, y, 1)
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return FitResult(slope=float(slope), intercept=float(intercept), rms=rms)

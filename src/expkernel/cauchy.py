@@ -17,8 +17,9 @@ representation of the exponential kernel through its own Cauchy data,
 Inner transforms appearing inside an outer integrand are evaluated through
 closed forms when the density is a sum of discs/annuli (the disc transform
 is r^2/(conj(lam - c)) outside and -conj(lam - c) inside, up to scaling) and
-through memoized quadrature otherwise, so each check still compares two
-independent numerical routes.
+by the boundary rule along the jumps of g otherwise (a 1-D route, vectorized
+over the points), while the outer integrals take the 2-D quadtree, so each
+check still compares two independent numerical routes.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import numpy as np
 
 from .density import DensitySpec, clear_radius
 from .geometry import Annulus, Disk
-from .kernel import eval_E, eval_E_unit_disc
-from .quadrature import cauchy_transform, disc_mass, integrate_diagonal, integrate_singular
+from .kernel import eval_E, eval_E_off_diagonal, eval_E_unit_disc
+from .quadrature import (boundary_cauchy_transform, boundary_log_kernel, cauchy_transform,
+                         disc_mass, integrate_diagonal, integrate_singular)
 
 __all__ = [
     "RegimeUnverified",
@@ -62,12 +64,11 @@ class TransformSample:
 
 
 def sample_transform(g: DensitySpec, points, tol: float = 1e-6) -> list[TransformSample]:
-    """Cauchy transform of g at each point, by adaptive quadrature."""
-    out = []
-    for p in points:
-        res = cauchy_transform(g, complex(p), tol)
-        out.append(TransformSample(complex(p), res.value, res.error_estimate))
-    return out
+    """Cauchy transform of g at each point, by one call of the boundary rule."""
+    pts = np.array(list(points), dtype=complex)
+    values, errors, _ = boundary_cauchy_transform(g, pts, tol)
+    return [TransformSample(complex(p), complex(v), float(e))
+            for p, v, e in zip(pts, values, errors)]
 
 
 # ---------------------------------------------------------------------------
@@ -104,30 +105,9 @@ def _disc_pieces(g: DensitySpec):
     return pieces
 
 
-def _memoized(value_at: Callable[[complex], complex]) -> Callable:
-    """Vectorized wrapper calling value_at once per distinct point."""
-    memo: dict[complex, complex] = {}
-
-    def evaluate(pts):
-        pts = np.asarray(pts, dtype=complex)
-        flat = pts.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for i, u in enumerate(flat):
-            key = complex(u)
-            if key not in memo:
-                memo[key] = value_at(key)
-            out[i] = memo[key]
-        return out.reshape(pts.shape)
-
-    return evaluate
-
-
 def make_transform(g: DensitySpec, tol: float = 1e-7) -> Callable:
-    """Vectorized lam -> ĝ(lam); closed form for disc sums, memoized otherwise.
-
-    The memoized fallback runs one adaptive quadrature per distinct point and
-    is meant for small panels, not for use inside another fine integrand.
-    """
+    """Vectorized lam -> ĝ(lam); closed form for disc sums, the boundary rule
+    over all the points at once otherwise."""
     pieces = _disc_pieces(g)
     if pieces is not None:
 
@@ -141,7 +121,7 @@ def make_transform(g: DensitySpec, tol: float = 1e-7) -> Callable:
 
         return closed
 
-    return _memoized(lambda u: cauchy_transform(g, u, tol).value)
+    return lambda pts: boundary_cauchy_transform(g, pts, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +203,13 @@ def _inv_conj(pts):
 
 
 def make_h0_context(g: DensitySpec, tol: float = 1e-6) -> H0Context:
-    """Compute C by quadrature and attach the ĥ0 evaluator."""
-    ct0 = cauchy_transform(g, 0.0, tol)  # (1/pi) ∫ g/u dA
-    c_val = -np.conj(ct0.value)
+    """Compute C by the boundary rule and attach the ĥ0 evaluator: off the
+    radial case ĥ0 = -f_0, the kernel exponent at w = 0, undefined at 0."""
+    g0, g0_err, _ = boundary_cauchy_transform(g, [0.0], tol)  # (1/pi) ∫ g/u dA
     profile = _radial_profile(g)
     if profile is not None:
 
-        def closed(pts):
+        def transform(pts):
             pts = np.asarray(pts, dtype=complex)
             s = np.abs(pts)
             total = np.zeros(pts.shape, dtype=complex)
@@ -237,13 +217,11 @@ def make_h0_context(g: DensitySpec, tol: float = 1e-6) -> H0Context:
                 eff = np.clip(s, max(r_lo, 1e-300), r_hi)
                 total = total + (2.0 * coeff) * np.log(r_hi / eff)
             return total
-
-        transform = closed
     else:
-        transform = _memoized(lambda u: cauchy_transform(
-            g, u, tol, multiplier=_inv_conj, attention=(0.0,)).value)
+        def transform(pts):
+            return -boundary_log_kernel(g, 0.0, pts, tol)[0]
 
-    return H0Context(g=g, C=complex(c_val), c_error=ct0.error_estimate,
+    return H0Context(g=g, C=complex(-np.conj(g0[0])), c_error=float(g0_err[0]),
                      transform=transform)
 
 
@@ -307,7 +285,8 @@ def _unit_disc_kernel_section(w: complex):
 
 
 def _kernel_section(g: DensitySpec, w: complex, tol: float):
-    """Vectorized u -> E_g(u, w); closed for a single full disc, memoized else."""
+    """Vectorized u -> E_g(u, w) (u != w); closed for a single full disc, the
+    boundary rule over all the points at once otherwise."""
     if g.grid is None and len(g.terms) == 1:
         region, coeff = g.terms[0]
         if isinstance(region, Disk) and coeff == 1.0:
@@ -321,7 +300,7 @@ def _kernel_section(g: DensitySpec, w: complex, tol: float):
 
             return closed
 
-    return _memoized(lambda u: eval_E(g, u, complex(w), tol).value)
+    return lambda pts: eval_E_off_diagonal(g, pts, complex(w), tol)[0]
 
 
 def check_representation(g: DensitySpec, w: complex, lam_points,
@@ -378,9 +357,6 @@ def dbar_transform_stencil(g: DensitySpec, point: complex,
     -g(point) to O(spacing^2) plus quadrature error wherever g is locally
     constant.
     """
-    p = complex(point)
     h = _STENCIL_SPACING
-    vals = {}
-    for q in (h, -h, 1j * h, -1j * h):
-        vals[q] = cauchy_transform(g, p + q, tol).value
-    return ((vals[h] - vals[-h]) + 1j * (vals[1j * h] - vals[-1j * h])) / (4.0 * h)
+    v, _, _ = boundary_cauchy_transform(g, complex(point) + h * np.array([1, -1, 1j, -1j]), tol)
+    return complex(((v[0] - v[1]) + 1j * (v[2] - v[3])) / (4.0 * h))

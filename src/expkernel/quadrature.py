@@ -1,9 +1,14 @@
 """Adaptive quadrature for densities with isolated rational singularities.
 
-Two routes.  boundary_log_kernel, the route of kernel.eval_E off the
-diagonal, integrates the log kernel along the jumps of g with one vectorized
-1-D rule, many lam at once.  The 2-D quadtree, integrate_singular, serves
-multiplier integrands and cross-checks it.
+Two engines.  Every integral without a multiplier,
+
+    (1/pi) * integral g(u) dN/dconj(u) / (u - lam) da(u)
+
+for the potentials N(u) = log|u - w|^2 (the kernel exponent,
+boundary_log_kernel) and N(u) = conj(u) (the Cauchy transform,
+boundary_cauchy_transform), runs along the jumps of g as one vectorized 1-D
+rule, many lam at once.  The 2-D quadtree, integrate_singular, serves the
+integrands with a multiplier and cross-checks the boundary rule.
 
 The quadtree evaluates integrals of the form
 
@@ -60,6 +65,7 @@ __all__ = [
     "QuadratureError", "TolNotReached", "integrate_singular",
     "integrate_bi_singular", "cauchy_transform", "integrate_diagonal",
     "radial_inverse_square_integral", "disc_mass", "boundary_log_kernel",
+    "boundary_cauchy_transform",
 ]
 
 
@@ -149,7 +155,7 @@ _MAX_DEPTH_1D = 24
 _MAX_DEPTH_GL = 10
 # Rays times crossing columns per pass of a column function (memory bound).
 _CHUNK = 1 << 16
-# boundary_log_kernel breaks a curve at a point's nearest point when the
+# The boundary rule breaks a curve at a point's nearest point when the
 # point lies within this fraction of the curve's length of it.
 _NEAR = 0.125
 
@@ -757,34 +763,37 @@ def _jumps(g: DensitySpec):
     return np.concatenate(([0.0], np.cumsum(length))), length, jump, origin, radius, direction
 
 
-def boundary_log_kernel(g: DensitySpec, w: complex, lams, tol: float):
-    """f_w(lam) = -(1/pi) * integral g(u) / (conj(u-w)(u-lam)) da(u) for each
-    lam (!= w) of an array, along the jumps of g: arrays (values, error
-    estimates, evaluations).  ``tol`` bounds each integral's error, pi times
-    the value's, as in integrate_bi_singular; the caller checks estimates.
+def _boundary_rule(g: DensitySpec, lams, tol: float, points, potential):
+    """V(lam) = (1/pi) * integral g(u) dN/dconj(u) / (u - lam) da(u) for each
+    lam of an array, along the jumps of g: arrays (values, error estimates,
+    evaluations) in the shape of lams.
 
-    d log|u-w|^2 / d conj(u) = 1 / conj(u-w), so by Green's theorem each
-    piece of g gives (1/2i) * jump * the integral of
-    (log|u-w|^2 - log|lam-w|^2) / (u - lam) du along its boundary; with the
-    pole at lam subtracted no residue term is left, wherever lam lies.  One
-    rule runs over all curves and a chunk of lams (its columns), broken near
-    w and the lams; the estimate adds a rounding bound of the quotient.
+    By Green's theorem each piece of g gives (1/2i) * jump * the integral of
+    (N(u) - N(lam)) / (u - lam) du along its boundary; with the pole at lam
+    subtracted no residue term is left, wherever lam lies.  ``potential(u,
+    lam)`` returns N(u) - N(lam) for nodes u (rows) and lams (columns), with
+    its rounding bound in units of _ROUNDING; N is singular at ``points``.
+    One rule runs over all curves and a chunk of lams, broken near the points
+    and the lams.  ``tol`` bounds each integral's error, pi times the value's;
+    an estimate above it, or nan, raises TolNotReached carrying pi * V.
     """
     tol = _check_tol(tol)
-    w = _check_point(w)
     lams = np.asarray(lams, dtype=complex)
+    shape = lams.shape
+    lams = lams.ravel()
     if not np.isfinite(lams).all():
         raise InvalidPointError("points must be finite")
-    if np.any(lams == w):
+    points = np.asarray(points, dtype=complex)
+    if np.isin(lams, points).any():
         raise InvalidPointError("lam = w: use integrate_diagonal")
     start, length, jump, origin, radius, direction = _jumps(g)
     values, errors, evals = (np.zeros(lams.size, dtype=t) for t in (complex, float, np.int64))
     # Columns per chunk: about _CHUNK elements in the first pass, over the
     # curves and about sixteen graded intervals per lam, shared by all columns.
     step = max(1, int(math.sqrt(_CHUNK / 352 + (length.size / 32) ** 2) - length.size / 32))
+    floor = np.maximum(1e-12 * length, 1024.0 * math.ulp(start[-1]))
     for lo in range(0, lams.size if length.size else 0, step):
         lam = lams[lo:lo + step]
-        ll = np.log(np.abs(lam - w))
 
         def f(x):
             k = np.searchsorted(start, x, side="right") - 1
@@ -792,36 +801,66 @@ def boundary_log_kernel(g: DensitySpec, w: complex, lams, tol: float):
             c = radius[k] > 0.0
             e = np.exp(1j * t / np.where(c, radius[k], np.inf))
             u = origin[k] + np.where(c, radius[k] * e, t * direction[k])
-            du = np.where(c, 1j * e, direction[k]) * (1j / math.pi) * jump[k]
-            uw = np.abs(u - w)
-            lu = np.log(uw)[:, None]
+            du = np.where(c, 1j * e, direction[k]) * (-0.5j / math.pi) * jump[k]
             diff = u[:, None] - lam
-            num = lu - ll
+            num, size = potential(u, lam)
             dist = np.abs(diff)
-            # Rounding: each log keeps an ulp of its argument; u, an ulp off the
-            # curve, moves log|u-w| (|u|+|w|)/|u-w| ulps, the quotient more.
-            size = (2.0 + np.abs(ll) + (np.abs(lu) + ((np.abs(u) + abs(w)) / uw)[:, None])
-                    + np.abs(num) * (np.abs(u)[:, None] + np.abs(lam)) / dist)
+            # Rounding: the quotient also carries the relative rounding of diff.
+            size = size + np.abs(num) * (np.abs(u)[:, None] + np.abs(lam)) / dist
             return du[:, None] * (num / diff), _ROUNDING * np.abs(du)[:, None] * size / dist, x.size
 
-        # Each curve's points nearest to w and to the lams, at arc position t,
-        # and breaks 4^k times their distance d (at least 1e-12 of the curve)
-        # to either side: a first-pass interval much longer than its distance
-        # to a point could miss the peak there in both rules.
-        rel = np.concatenate(([w], lam))[:, None] - origin
+        # Each curve's points nearest to the points and to the lams, at arc
+        # position t, and breaks 4^k times their distance d to either side: a
+        # first-pass interval much longer than its distance to a point could
+        # miss the peak there in both rules.  d is at least 1e-12 of the curve
+        # and 1024 ulps of the arc positions: no node rounds onto lam (0/0).
+        rel = np.concatenate((points, lam))[:, None] - origin
         t = np.where(radius > 0.0, radius * (np.angle(rel) % (2.0 * math.pi)),
                      np.clip((rel * np.conj(direction)).real, 0.0, length))
         dist = np.where(radius > 0.0, np.abs(np.abs(rel) - radius), np.abs(rel - t * direction))
         p, k = np.nonzero(dist <= _NEAR * length)
         grades = np.append(0.0, 4.0 ** np.arange(21))
-        d = np.maximum(dist[p, k], 1e-12 * length[k])[:, None] * grades
+        d = np.maximum(dist[p, k], floor[k])[:, None] * grades
         ln = length[k, None]
         at = t[p, k, None] + np.concatenate((d, -d), axis=1)
         at = np.where(radius[k, None] > 0.0, at % ln, np.clip(at, 0.0, ln))
         breaks = np.unique(np.concatenate((start, (start[k, None] + at)[np.tile(d < ln, 2)])))
         values[lo:lo + step], errors[lo:lo + step], evals[lo:lo + step] = _adaptive_1d(
             f, breaks, tol / math.pi)
-    return values, errors, evals
+    bad = np.flatnonzero(~(math.pi * errors <= tol * (1.0 + 1e-9)))
+    if bad.size:
+        k = bad[np.argmax(errors[bad])]
+        raise TolNotReached(f"error estimate {math.pi * errors[k]:.3e} above tolerance "
+                            f"{tol:.3e} at lam = {complex(lams[k])} after {evals[k]} evaluations",
+                            complex(math.pi * values[k]), float(math.pi * errors[k]))
+    return values.reshape(shape), errors.reshape(shape), evals.reshape(shape)
+
+
+def boundary_log_kernel(g: DensitySpec, w: complex, lams, tol: float):
+    """f_w(lam) = -(1/pi) * integral g(u) / (conj(u-w)(u-lam)) da(u) for each
+    lam (!= w) of an array: arrays (values, error estimates, evaluations) of
+    the boundary rule with N(u) = log|u-w|^2, ``tol`` as in integrate_bi_singular."""
+    w = _check_point(w)
+
+    def potential(u, lam):
+        # Each log keeps an ulp of its argument; u, an ulp off the curve,
+        # moves log|u-w|^2 by 2(|u|+|w|)/|u-w| ulps.
+        nl, uw = 2.0 * np.log(np.abs(lam - w)), np.abs(u - w)
+        nu = 2.0 * np.log(uw)
+        size = 4.0 + np.abs(nl) + (np.abs(nu) + 2.0 * (np.abs(u) + abs(w)) / uw)[:, None]
+        return nu[:, None] - nl, size
+
+    values, errors, evals = _boundary_rule(g, lams, tol, [w], potential)
+    return -values, errors, evals
+
+
+def boundary_cauchy_transform(g: DensitySpec, lams, tol: float):
+    """ĝ(lam) = (1/pi) * integral g(u) / (u - lam) da(u) for each lam of an
+    array: arrays (values, error estimates, evaluations) of the boundary rule
+    with N(u) = conj(u), ``tol`` as in cauchy_transform."""
+    # The difference keeps an ulp of |u| + |lam|, and u is an ulp off the curve.
+    return _boundary_rule(g, lams, tol, [], lambda u, lam: (
+        np.conj(u)[:, None] - np.conj(lam), (2.0 * np.abs(u))[:, None] + np.abs(lam)))
 
 
 def _meets(off: float, rho: float):

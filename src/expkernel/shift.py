@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import eval_E_unit_disc, mobius_real_disc
-from .quadrature import integrate_bi_singular
+from .quadrature import boundary_log_kernel
 
 __all__ = [
     "TailTooLarge",
@@ -126,7 +126,7 @@ def check_mobius_transfer(alpha: float, lam: complex, w: complex,
                           tol: float = 1e-5) -> float:
     """Exp-level residual of the alpha-disc integral against the shift value.
 
-    Quadrature of the kernel exponent over D_{lam,alpha} should satisfy
+    The kernel exponent over D_{lam,alpha}, by the boundary rule, should satisfy
     exp(value) = E_D(s_alpha, 1) = 2/(1+|alpha|), independent of lam, w.
     """
     if alpha >= 1.0:
@@ -136,7 +136,7 @@ def check_mobius_transfer(alpha: float, lam: complex, w: complex,
     if lam == w:
         raise ValueError("need lam != w")
     params = mobius_real_disc(lam, w, alpha)
-    res = integrate_bi_singular(params.density(), w, lam, tol)
+    f, _, _ = boundary_log_kernel(params.density(), w, [lam], tol)
     s = (1.0 + alpha) / (alpha - 1.0)
     closed = eval_E_unit_disc(complex(s), 1.0)
-    return abs(np.exp(res.value) - closed)
+    return float(abs(np.exp(f[0]) - closed))

@@ -1,5 +1,6 @@
-"""The boundary-integral route of eval_E and grid: closed forms, the quadtree
-cross-check, and grid rows against single-point evaluations."""
+"""The boundary rule: the kernel exponent of eval_E and grid and the Cauchy
+transform against closed forms and the quadtree, and grid rows against
+single-point evaluations."""
 
 import cmath
 import math
@@ -7,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
+from expkernel.cauchy import disc_transform
 from expkernel.cli import main
 from expkernel.density import GridLayer, annulus_density, disc_density, make_density, \
     swiss_cheese, unit_disc_density
 from expkernel.geometry import Annulus, Disk, Rectangle
 from expkernel.kernel import eval_E, eval_E_signed_discs, eval_E_unit_disc
-from expkernel.quadrature import TolNotReached, boundary_log_kernel, integrate_bi_singular
+from expkernel.quadrature import TolNotReached, boundary_cauchy_transform, boundary_log_kernel, \
+    cauchy_transform, integrate_bi_singular
 
 UNIT = unit_disc_density()
 ANNULUS = annulus_density(0.1 + 0.05j, 0.35, 0.8)
@@ -90,6 +93,31 @@ def test_boundary_route_agrees_with_quadtree(name):
         # and estimate it carries still bound where it stopped
         qv, qe = -exc.value / math.pi, exc.error_estimate / math.pi
     assert abs(v[0] - qv) <= e[0] + qe
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-10])
+@pytest.mark.parametrize("lam", [0j, 0.3 - 0.5j, cmath.exp(2j), 1.5 + 1j])
+def test_cauchy_transform_estimate_bounds_unit_disc_error(lam, tol):
+    v, e, n = boundary_cauchy_transform(UNIT, [lam], tol)
+    assert abs(v[0] - disc_transform(0j, 1.0, lam)) <= e[0] <= tol / math.pi
+    assert n[0] > 0
+
+
+@pytest.mark.parametrize("lam", [0.15 - 0.25j, -0.5 + 0.1j, -0.5 - 0.3j, 0j],
+                         ids=["interior", "edge", "corner", "grid_vertex"])
+def test_cauchy_transform_agrees_with_quadtree(lam):
+    g = NO_CLOSED_FORM["rectangle_and_grid"][0]
+    v, e, _ = boundary_cauchy_transform(g, [lam], 1e-6)
+    q = cauchy_transform(g, lam, 1e-5)
+    assert abs(v[0] - q.value) <= e[0] + q.error_estimate
+
+
+def test_lam_on_a_grid_vertex_agrees_with_quadtree():
+    # a node that rounded onto the break at lam gave 0/0: nan, and no raise
+    g, _, w = NO_CLOSED_FORM["rectangle_and_grid"]
+    v, e, _ = boundary_log_kernel(g, w, [0j], 1e-7)
+    q = integrate_bi_singular(g, w, 0j, 1e-5)
+    assert abs(v[0] - q.value) <= e[0] + q.error_estimate
 
 
 def test_grid_rows_match_single_point_eval(tmp_path, capsys):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expkernel import cauchy
-from expkernel.cauchy import (RegimeUnverified, _kernel_section,
+from expkernel.cauchy import (RegimeUnverified, _inv_conj, _kernel_section,
                               check_h0_binomial, check_power_identity,
                               check_product_identity, check_representation,
                               dbar_transform_stencil, disc_transform,
@@ -13,6 +12,7 @@ from expkernel.density import (annulus_density, disc_density, make_density,
                                unit_disc_density)
 from expkernel.geometry import Disk, Rectangle
 from expkernel.kernel import eval_E
+from expkernel.quadrature import cauchy_transform
 
 from oracles import midpoint_rect
 
@@ -55,7 +55,7 @@ def test_make_transform_closed_vs_quadrature():
 
 def test_make_transform_quadrature_path_vs_oracle():
     # a rectangle term has no closed disc decomposition, so this exercises
-    # the memoized quadrature route against a plain midpoint rule
+    # the boundary rule against a plain midpoint rule
     g = make_density(0j, 1.0, [(Rectangle(-0.5, -0.3, 0.4, 0.2), 1.0)])
     lam = 1.5 + 0.8j
     got = complex(make_transform(g, tol=1e-6)(np.array([lam]))[0])
@@ -64,58 +64,52 @@ def test_make_transform_quadrature_path_vs_oracle():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
 
-# -- memoized quadrature fallbacks
+# -- boundary-rule fallbacks against the quadtree
 
 
 RECT = make_density(0j, 1.0, [(Rectangle(-0.5, -0.3, 0.4, 0.2), 1.0)])
 PANEL = np.array([[1.5 + 0.8j, -1.2 + 0.4j], [1.5 + 0.8j, -1.2 + 0.4j]])
 
 
-def _count_calls(monkeypatch, name):
-    """Record the point of every call to cauchy.<name>, still calling it."""
-    calls = []
-    real = getattr(cauchy, name)
-
-    def counted(g, u, *args, **kw):
-        calls.append(u)
-        return real(g, u, *args, **kw)
-
-    monkeypatch.setattr(cauchy, name, counted)
-    return calls
-
-
-def test_make_transform_fallback_integrates_once_per_point(monkeypatch):
-    calls = _count_calls(monkeypatch, "cauchy_transform")
+def test_make_transform_fallback_matches_quadtree():
     transform = make_transform(RECT, tol=1e-5)
     first = transform(PANEL)
     again = transform(PANEL[0])
-    assert calls == [1.5 + 0.8j, -1.2 + 0.4j]
     assert first.shape == PANEL.shape
     np.testing.assert_array_equal(first[0], first[1])
     np.testing.assert_array_equal(first[0], again)
+    # the boundary rule raises unless its estimate is within tol / pi
+    for u, got in zip(PANEL[0], first[0]):
+        q = cauchy_transform(RECT, u, 1e-5)
+        assert abs(got - q.value) <= q.error_estimate + 1e-5 / math.pi
 
 
-def test_h0_context_fallback_integrates_once_per_point(monkeypatch):
-    calls = _count_calls(monkeypatch, "cauchy_transform")
+def test_h0_context_fallback_matches_quadtree():
     ctx = make_h0_context(RECT, tol=1e-4)
-    assert calls == [0.0]  # the constant C
+    c = cauchy_transform(RECT, 0.0, 1e-4)
+    assert abs(ctx.C + np.conj(c.value)) <= ctx.c_error + c.error_estimate
     first = ctx.transform(PANEL)
     again = ctx.transform(PANEL[1])
-    assert calls == [0.0, 1.5 + 0.8j, -1.2 + 0.4j]
+    assert first.shape == PANEL.shape
     np.testing.assert_array_equal(first[0], first[1])
     np.testing.assert_array_equal(first[1], again)
+    for u, got in zip(PANEL[0], first[0]):
+        q = cauchy_transform(RECT, u, 1e-4, multiplier=_inv_conj, attention=(0.0,))
+        assert abs(got - q.value) <= q.error_estimate + 1e-4 / math.pi
 
 
-def test_kernel_section_fallback_matches_eval_E(monkeypatch):
+def test_kernel_section_fallback_matches_eval_E():
     g = disc_density(0.1j, 0.8, 0.5)  # coefficient 0.5: no closed section
     w = 2.0 + 0j
-    expected = [eval_E(g, u, w, 1e-4).value for u in PANEL[0]]
-    calls = _count_calls(monkeypatch, "eval_E")
     section = _kernel_section(g, w, 1e-4)
     got = section(PANEL)
-    section(PANEL[0])
-    assert calls == [1.5 + 0.8j, -1.2 + 0.4j]
-    assert got.tolist() == [expected, expected]
+    assert got.shape == PANEL.shape
+    np.testing.assert_array_equal(got[0], got[1])
+    np.testing.assert_array_equal(got[0], section(PANEL[0]))
+    # each side's exponent is within tol / pi
+    for u, v in zip(PANEL[0], got[0]):
+        kv = eval_E(g, u, w, 1e-4)
+        assert abs(v - kv.value) <= kv.error_estimate + abs(v) * math.expm1(1e-4 / math.pi)
 
 
 # -- product and power identities

@@ -10,7 +10,8 @@ from expkernel.density import (GridLayer, Mcg64, annulus_density, disc_density,
                                make_density, swiss_cheese, unit_disc_density)
 from expkernel.geometry import Annulus, Disk, Rectangle, disk_rect_area
 from expkernel import quadrature
-from expkernel.kernel import eval_E, eval_E_disc
+from expkernel.kernel import (disc_imag_integral, disc_real_integral, eval_E, eval_E_disc,
+                              mobius_imag_disc, mobius_real_disc)
 from expkernel.quadrature import (InvalidPointError, TolNotReached,
                                   ToleranceError, cauchy_transform, disc_mass,
                                   integrate_bi_singular, integrate_diagonal,
@@ -240,6 +241,25 @@ def test_disc_mass_grid_vertex_estimate_bounds_error():
         assert abs(Decimal(mass) - pi * Decimal(rho) ** 2 / 4 * quarters) <= Decimal(err)
 
 
+SWISS = swiss_cheese(0, 4)
+HOLE = SWISS.terms[-1][0]  # the smallest; the quadtree's budget runs out at 1e-6 in larger ones
+
+
+@pytest.mark.parametrize("g, w", [
+    (disc_density(0.3 - 0.2j, 0.5), 1.1 + 0.4j),
+    (make_density(0j, 1.0, [(Rectangle(*RECT), 1.0)]), 0.7 - 0.5j),
+    (make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)), -0.1 - 0.1j),
+    (SWISS, complex(HOLE.cx, HOLE.cy)),
+], ids=["offset_disc", "rectangle", "grid_zero_cell", "hole"])
+def test_diagonal_matches_bi_singular_where_g_vanishes(g, w):
+    # where g vanishes near w, the quadtree integrates the bounded diagonal
+    # integrand: an independent route to the radial octaves
+    dm = integrate_diagonal(g, w, 1e-6)
+    assert not dm.divergent
+    res = integrate_bi_singular(g, w, w, 1e-6)
+    assert abs(dm.value + res.value.real) <= dm.error_estimate + res.error_estimate
+
+
 def test_radial_inverse_square_unit_disc():
     total, err = radial_inverse_square_integral(UNIT, 0j, 0.25, 1.0, 1e-9)
     assert type(total) is float and type(err) is float
@@ -344,11 +364,19 @@ def test_materialize_tiles_the_root_square_around_the_blocks(layout):
 
 
 def test_error_estimates_are_honest():
-    # observed error stays below the reported estimate on closed-form cases
-    for lam, w in ((0.5 + 0j, 0j), (2.0 + 0j, 3.0 + 0j)):
-        res = integrate_bi_singular(UNIT, w, lam, 1e-5)
-        closed = {0.5 + 0j: math.log(0.25), 2.0 + 0j: math.log(5.0 / 6.0)}[lam]
-        assert abs(res.value - closed) <= res.error_estimate + 1e-12
+    # observed error stays below the reported estimate on closed-form cases:
+    # the unit disc, the alpha disc with w inside (closed real part) and the
+    # beta disc (closed imaginary part), lam on the circle of both
+    lam, w = 0.8 + 0.3j, -0.4 - 0.1j
+    cases = [(UNIT, 0j, 0.5 + 0j, complex, math.log(0.25)),
+             (UNIT, 3.0 + 0j, 2.0 + 0j, complex, math.log(5.0 / 6.0)),
+             (mobius_real_disc(lam, w, -1.0 / 3.0).density(), w, lam, lambda z: z.real,
+              disc_real_integral(-1.0 / 3.0)),
+             (mobius_imag_disc(lam, w, 2.0).density(), w, lam, lambda z: z.imag,
+              disc_imag_integral(2.0))]
+    for g, w, lam, part, closed in cases:
+        res = integrate_bi_singular(g, w, lam, 1e-5)
+        assert abs(part(res.value) - closed) <= res.error_estimate + 1e-12
         assert res.error_estimate <= 1e-5 * (1 + 1e-9)
 
 

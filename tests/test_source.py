@@ -12,3 +12,14 @@ def test_array_code_makes_no_per_element_python_calls():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"\b(frompyfunc|vectorize)\b", line)]
     assert hits == []
+
+
+def test_kernel_analysis_and_shift_call_no_quadtree():
+    # the quadtree serves multiplier integrands and cross-checks; these modules
+    # integrate without a multiplier and take the boundary rule
+    root = Path(expkernel.__file__).parent
+    hits = [f"{name}:{n}"
+            for name in ("kernel.py", "analysis.py", "shift.py")
+            for n, line in enumerate((root / name).read_text().splitlines(), 1)
+            if re.search(r"\b(integrate_singular|integrate_bi_singular|cauchy_transform)\b", line)]
+    assert hits == []
