@@ -116,7 +116,7 @@ class Disk:
     r: float
 
     def contains(self, u):
-        # in place: fresh temporaries of validation-sized arrays cost page faults
+        # in place: fresh temporaries of large point arrays cost page faults
         re = np.real(u) - self.cx
         im = np.imag(u) - self.cy
         re *= re

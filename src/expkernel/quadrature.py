@@ -37,8 +37,10 @@ bounded multiplier and g is a DensitySpec.  Strategy:
 * cell contributions are accumulated in a fixed order, so results are
   bit-identical for identical inputs on one numpy build and CPU.
 
-The diagonal and disc-mass integrals use exact radial columns under an
-adaptive angular rule, broken wherever a column has a kink.
+Whether the diagonal integral diverges is read exactly from the faces of the
+jump arrangement of g around w.  A finite diagonal and the disc mass use
+exact radial columns under an adaptive angular rule, broken wherever a
+column has a kink.
 
 The 1-D rules run level by level: each pass of the angular rule sends the
 nodes of all its open intervals to the column function at once, and a
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .density import DensitySpec, clear_radius, eval_density
+from .density import DensitySpec, clear_radius, eval_density, jump_arrangement
 from .geometry import INSIDE, OUTSIDE, STRADDLE, Annulus, Disk, Rectangle
 
 __all__ = [
@@ -115,10 +117,11 @@ class QuadratureResult:
 class DiagonalMass:
     """Outcome of the diagonal mass integral (1/pi) * integral g(u) |u-w|^-2 da.
 
-    ``divergent`` follows the dichotomy: True when the partial sum over
-    geometric annuli crossed the divergence threshold, False when the
-    remaining tail is known to vanish (or decays geometrically below tol).
-    ``value`` is the finite integral, or the partial sum at stopping.
+    ``divergent`` follows the dichotomy: True when g > 0 on a sector at w of
+    positive opening, decided exactly from the jump arrangement of g; then
+    ``value`` is inf and ``error_estimate`` and ``octaves`` are 0.  False
+    when the integral is finite: ``value`` is its sum over the ``octaves``
+    geometric annuli taken, with the summed error estimate.
     """
 
     divergent: bool
@@ -144,9 +147,7 @@ Factor = tuple[str, complex]
 # Quadtree depth limit, and the depth of the initial uniform cover.
 _MAX_DEPTH = 26
 _INIT_DEPTH = 2
-# integrate_diagonal: a partial sum above _DIVERGENCE_THRESHOLD certifies
-# divergence; _MAX_OCTAVES bounds the descent.
-_DIVERGENCE_THRESHOLD = 40.0
+# Octaves of integrate_diagonal's finite route at most.
 _MAX_OCTAVES = 1000
 # Rounding bound of an exact radial column, per unit of its operands' size.
 _ROUNDING = 4.0 * math.ulp(1.0)
@@ -923,13 +924,18 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
 def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> DiagonalMass:
     """Diagonal mass (1/pi) * integral g(u) |u-w|^-2 da(u) with divergence detection.
 
-    The integral is accumulated over geometric annuli r_k = r_top * 2^-k; the
-    partial sum is monotone, so crossing a threshold of 40 certifies
-    divergence at any positive Lebesgue density point.  Descent stops early
-    when the remaining disc is provably free of support.
+    The integral diverges exactly when g > 0 on a sector at w of positive
+    opening: at w itself when w lies on no jump curve of g, else on one of
+    the sectors that the curves through w cut out
+    (JumpArrangement.sector_points).  Otherwise, horns of zero opening at a
+    tangency included, it is finite and accumulated over geometric annuli
+    r_k = r_top * 2^-k.  Descent stops when the remaining disc is provably
+    free of support.
     """
     tol = _check_tol(tol)
     w = _check_point(w)
+    if (eval_density(g, jump_arrangement(g).sector_points(w)) > 0.0).any():
+        return DiagonalMass(True, math.inf, 0.0, 0)
     cr = clear_radius(g, w)
     r_top = abs(w - g.support_center) + g.support_radius
     acc = 0.0
@@ -945,8 +951,6 @@ def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> Diagona
         acc += v
         err += e / math.pi
         vals.append(v)
-        if acc >= _DIVERGENCE_THRESHOLD:
-            return DiagonalMass(True, acc, err, k + 1)
         if len(vals) >= 3 and max(vals[-3:]) <= 0.125 * tol:
             # Quiet octaves alone do not certify convergence: the support may
             # resume deeper inside (an island separated from w by a gap), so

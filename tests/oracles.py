@@ -3,14 +3,15 @@
 The midpoint rules are slow, simple, and share no code with the library's
 quadrature, so agreement is evidence rather than tautology.  The scalar
 radial and angular rules below are the one-ray, one-interval-at-a-time
-loops the library's array passes replace, kept as their reference.
+loops the library's array passes replace, kept as their reference, and the
+dense range sampler is the independent check of exact density validation.
 """
 
 import math
 
 import numpy as np
 
-from expkernel.density import GridLayer, eval_density
+from expkernel.density import GridLayer, Mcg64, eval_density
 from expkernel.geometry import Annulus, Disk, Rectangle
 
 
@@ -267,3 +268,54 @@ def polar_patch(g, s, cancel, rest, multiplier, block, tol, extra_radii):
         return column_gl(g, s, ct, st, rmax, fvec, seg_tol, extra_radii)
 
     return adaptive_1d(column, breaks, tol)
+
+
+# ---------------------------------------------------------------------------
+# Dense sampling of a density's range
+
+
+def range_violation(g, n=256, band=64, seed=1):
+    """First sample at which g leaves [0, 1] by more than 1e-12, or None.
+
+    Samples an n x n jittered grid over the bounding square of the support
+    disc and `band` points jittered across each region boundary (band
+    half-width 1e-3 of the region's scale), from the Mcg64 stream of `seed`.
+    This is the dense sampler that once validated densities: independent of
+    the jump arrangement, and blind to faces thinner than its spacing.
+    """
+    rng = Mcg64(seed)
+    cx, cy, rad = g.support_center.real, g.support_center.imag, g.support_radius
+    h = 2.0 * rad / n
+    jitter = rng.uniforms(2 * n * n).reshape(n, n, 2)
+    idx = np.arange(n)
+    grid = np.empty((n, n), dtype=complex)
+    grid.real = cx - rad + (idx[None, :] + jitter[:, :, 0]) * h
+    grid.imag = cy - rad + (idx[:, None] + jitter[:, :, 1]) * h
+    pts = []
+    for region, _ in g.terms:
+        if isinstance(region, (Disk, Annulus)):
+            radii = [region.r] if isinstance(region, Disk) else [region.r_inner, region.r_outer]
+            scale = max(max(radii), 1.0)
+            for k in range(band):
+                th = 2.0 * math.pi * rng.uniform()
+                r = radii[k % len(radii)] + (rng.uniform() - 0.5) * 2e-3 * scale
+                pts.append(complex(region.cx + r * math.cos(th), region.cy + r * math.sin(th)))
+        else:
+            w, ht = region.x1 - region.x0, region.y1 - region.y0
+            scale = max(w, ht, 1.0)
+            for _ in range(band):
+                t = rng.uniform() * 2.0 * (w + ht)
+                dr = (rng.uniform() - 0.5) * 2e-3 * scale
+                if t < w:
+                    p = complex(region.x0 + t, region.y0 + dr)
+                elif t < w + ht:
+                    p = complex(region.x1 + dr, region.y0 + (t - w))
+                elif t < 2 * w + ht:
+                    p = complex(region.x0 + (t - w - ht), region.y1 + dr)
+                else:
+                    p = complex(region.x0 + dr, region.y0 + (t - 2 * w - ht))
+                pts.append(p)
+    pts = np.concatenate((grid.ravel(), np.array(pts, dtype=complex)))
+    vals = eval_density(g, pts)
+    bad = np.flatnonzero((vals < -1e-12) | (vals > 1.0 + 1e-12))
+    return (complex(pts[bad[0]]), float(vals[bad[0]])) if bad.size else None

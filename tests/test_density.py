@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expkernel import density, suites
 from expkernel.density import (DensityConfigError, GridLayer, Mcg64,
                                annulus_density, clear_radius, disc_density,
-                               eval_density, load_density_file, make_density,
-                               parse_density_config, swiss_cheese,
+                               eval_density, jump_arrangement, load_density_file,
+                               make_density, parse_density_config, swiss_cheese,
                                unit_disc_density)
 from expkernel.geometry import Annulus, Disk, Rectangle
+from oracles import range_violation
 
 
 def test_mcg64_reference_stream():
@@ -80,6 +82,105 @@ def test_validate_rejects_out_of_range_density():
                                (Disk(0.2, 0.0, 0.5), 0.7)])
     with pytest.raises(DensityConfigError):
         make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), -0.1)])
+
+
+def test_validate_rejects_thin_lens():
+    # g = 2 on a lens 1e-4 wide, thinner than a dense sample's spacing
+    with pytest.raises(DensityConfigError, match="out of range"):
+        make_density(0.5, 1.0, [(Disk(0.0, 0.0, 0.5), 1.0), (Disk(0.9999, 0.0, 0.5), 1.0)])
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3, 0.1])
+def test_validate_accepts_externally_tangent_discs(r):
+    # g = 2 only at the touching point, and no sample lands there
+    g = make_density(r, 2.0 * r, [(Disk(0.0, 0.0, r), 1.0), (Disk(2.0 * r, 0.0, r), 1.0)])
+    assert eval_density(g, complex(r, 0.0)) == 2.0
+    samples = jump_arrangement(g).face_samples()
+    assert np.max(eval_density(g, samples)) == 1.0
+    assert np.min(eval_density(g, samples)) == 0.0
+
+
+def test_validate_rectangle_edge_on_grid_line():
+    # the rectangle's left edge lies on the grid line x = 0, its top and
+    # bottom on y = +-0.25; where it touches the grid only along x = 0.5,
+    # g = 2 on that line alone
+    grid = GridLayer(-0.5, -0.5, 0.25, np.full((4, 4), 0.5))
+    make_density(0j, 1.0, [(Rectangle(0.0, -0.25, 0.7, 0.25), 0.5)], grid)
+    with pytest.raises(DensityConfigError):
+        make_density(0j, 1.0, [(Rectangle(0.0, -0.25, 0.7, 0.25), 0.6)], grid)
+    full = GridLayer(-0.5, -0.5, 0.25, np.ones((4, 4)))
+    make_density(0j, 1.0, [(Rectangle(0.5, -0.25, 0.7, 0.25), 1.0)], full)
+
+
+def test_validate_rejects_sliver_overlap_of_grid_cell():
+    # a 1e-5 overlap with the grid's last column, far below the 2R/256
+    # spacing of a dense sample
+    grid = GridLayer(-0.5, -0.5, 0.25, np.full((4, 4), 0.8))
+    make_density(0j, 1.0, [(Rectangle(0.5, -0.25, 0.7, 0.25), 0.5)], grid)
+    with pytest.raises(DensityConfigError):
+        make_density(0j, 1.0, [(Rectangle(0.5 - 1e-5, -0.25, 0.7, 0.25), 0.5)], grid)
+
+
+def test_validate_hole_on_annulus_inner_circle():
+    # the disc's circle is the annulus's inner circle: one carrier
+    c = 0.1 + 0.05j
+    ring = (Annulus(c.real, c.imag, 0.35, 0.8), 1.0)
+    g = make_density(c, 0.8, [ring, (Disk(c.real, c.imag, 0.35), 0.5)])
+    assert len(jump_arrangement(g).circles) == 2
+    make_density(c, 0.8, [ring, (Disk(c.real, c.imag, 0.35), 1.0)])
+    with pytest.raises(DensityConfigError):
+        make_density(c, 0.8, [ring, (Disk(c.real, c.imag, 0.35), -0.5)])
+    with pytest.raises(DensityConfigError):
+        make_density(c, 0.8, [ring, (Disk(c.real, c.imag, 0.5), 0.5)])
+
+
+def test_library_densities_are_accepted():
+    # make_density validates every one of them
+    assert len(suites.bound_fixtures(200)) == 200
+    for g1, g2, _, _, scale, shift in suites.property_fixtures(50):
+        suites.combined_density(g1, g2)
+        suites.scaled_density(g1, scale, shift)
+    assert len(suites.swiss_fixtures(10)) == 10
+
+
+def test_swiss_cheese_validation_evaluates_few_points(monkeypatch):
+    points = []
+
+    def counted(g, u):
+        points.append(np.size(u))
+        return eval_density(g, u)
+
+    monkeypatch.setattr(density, "eval_density", counted)
+    swiss_cheese(0, 4)
+    assert 0 < sum(points) < 1000
+
+
+_coord = st.sampled_from([-0.5, -0.25, 0.0, 0.25]) | st.floats(-0.6, 0.3)
+_coeff = st.sampled_from([1.0, 0.5, 0.25, -0.25, -0.5, -1.0]) | st.floats(-1.0, 1.0)
+_region = st.one_of(
+    st.builds(Disk, st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), st.floats(0.05, 0.4)),
+    st.builds(lambda x, y, r, t: Annulus(x, y, t * r, r), st.floats(-0.4, 0.4),
+              st.floats(-0.4, 0.4), st.floats(0.1, 0.4), st.floats(0.0, 0.9)),
+    st.builds(lambda x, y, w, h: Rectangle(x, y, x + w, y + h), _coord, _coord,
+              st.sampled_from([0.25, 0.5]) | st.floats(0.01, 0.3),
+              st.sampled_from([0.25, 0.5]) | st.floats(0.01, 0.3)))
+_grid = st.none() | st.builds(
+    lambda x, y, s, rows: GridLayer(x, y, s, np.array(rows)),
+    st.sampled_from([-0.5, -0.25]) | st.floats(-0.6, -0.2),
+    st.sampled_from([-0.5, -0.25]) | st.floats(-0.6, -0.2),
+    st.sampled_from([0.25]) | st.floats(0.05, 0.2),
+    st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                      min_size=3, max_size=3), min_size=1, max_size=3))
+
+
+@given(terms=st.lists(st.tuples(_region, _coeff), min_size=1, max_size=4), grid=_grid)
+@settings(max_examples=80, deadline=None)
+def test_dense_sampler_finds_no_violation_in_accepted_specs(terms, grid):
+    try:
+        g = make_density(0j, 1.0, terms, grid)
+    except DensityConfigError:
+        return
+    assert range_violation(g) is None
 
 
 def test_validate_rejects_region_outside_support():

@@ -260,6 +260,50 @@ def test_diagonal_matches_bi_singular_where_g_vanishes(g, w):
     assert abs(dm.value + res.value.real) <= dm.error_estimate + res.error_estimate
 
 
+def _no_octaves(*args, **kwargs):
+    raise AssertionError("the divergence decision took the octave route")
+
+
+_RING = annulus_density(0.1 + 0.05j, 0.35, 0.8)
+_ON_CIRCLE = complex(math.cos(1.0), math.sin(1.0))
+
+
+@pytest.mark.parametrize("g, w", [
+    (UNIT, 0.3 - 0.2j),
+    (UNIT, 1.0 + 0j),
+    (UNIT, -1j),
+    (make_density(0j, 1.0, [(Rectangle(*RECT), 1.0)]), complex(RECT[0], RECT[1])),
+    (make_density(0j, 1.0, [(Rectangle(*RECT), 1.0)]), complex(RECT[2], 0.0)),
+    (make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)), -0.2 + 0.0j),
+    (SWISS, complex(HOLE.cx, HOLE.cy) + HOLE.r * _ON_CIRCLE),
+    (SWISS, complex(HOLE.cx + HOLE.r, HOLE.cy)),
+    (_RING, 0.1 + 0.05j + 0.35 * _ON_CIRCLE),
+    (_RING, complex(0.1 - 0.35, 0.05)),
+], ids=["interior", "unit_circle", "unit_circle_i", "rectangle_corner", "rectangle_edge",
+        "grid_vertex", "hole_circle", "hole_circle_axis", "annulus_inner", "annulus_inner_axis"])
+def test_diagonal_divergence_decided_exactly(g, w, monkeypatch):
+    # g > 0 on a sector at w of positive opening: no octave is summed
+    monkeypatch.setattr(quadrature, "_radial_exact", _no_octaves)
+    dm = integrate_diagonal(g, w, 1e-6)
+    assert dm == quadrature.DiagonalMass(True, math.inf, 0.0, 0)
+    assert type(dm.value) is float and type(dm.error_estimate) is float
+
+
+def test_diagonal_horn_at_tangency_is_finite():
+    # g = 1 between the unit circle and the circle of radius 0.9 tangent to
+    # it inside at w = -1: a horn of zero opening at w, where the integral
+    # is log(1/0.9)
+    g = make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 1.0), (Disk(-0.1, 0.0, 0.9), -1.0)])
+    dm = integrate_diagonal(g, -1.0 + 0j, 1e-6)
+    assert not dm.divergent and dm.octaves > 0
+    assert abs(dm.value - math.log(1.0 / 0.9)) <= 1e-6
+
+
+def test_divergent_diagonal_kernel_takes_no_octave(monkeypatch):
+    monkeypatch.setattr(quadrature, "_radial_exact", _no_octaves)
+    assert eval_E(unit_disc_density(), 0.3, 0.3).value == 0.0
+
+
 def test_radial_inverse_square_unit_disc():
     total, err = radial_inverse_square_integral(UNIT, 0j, 0.25, 1.0, 1e-9)
     assert type(total) is float and type(err) is float
