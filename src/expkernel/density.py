@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Annulus, Disk, Rectangle, Region, _line_crossings
+from .geometry import Annulus, Disk, Rectangle, Region, _circle_crossings, _line_crossings
 
 _MASK64 = (1 << 64) - 1
 
@@ -151,6 +152,11 @@ class DensitySpec:
     terms: tuple[tuple[Region, float], ...]
     grid: GridLayer | None = None
 
+    @cached_property
+    def arrangement(self) -> JumpArrangement:
+        """The JumpArrangement of g, built once per spec."""
+        return jump_arrangement(self)
+
 
 def eval_density(g: DensitySpec, u) -> float | np.ndarray:
     """Pointwise g(u); accepts a complex scalar or ndarray.
@@ -185,7 +191,7 @@ def clear_radius(g: DensitySpec, w: complex) -> float:
     """
     d_support = math.hypot(w.real - g.support_center.real, w.imag - g.support_center.imag)
     r = d_support - g.support_radius if d_support > g.support_radius else math.inf
-    r = min(r, float(jump_arrangement(g).distances(w).min(initial=math.inf)))
+    r = min(r, float(g.arrangement.distances(w).min(initial=math.inf)))
     if not math.isfinite(r) or r <= 0.0:
         return 0.0
     if eval_density(g, w) != 0.0:
@@ -197,10 +203,16 @@ def clear_radius(g: DensitySpec, w: complex) -> float:
 # ulps of the density's scale |support_center| + support_radius, which bounds
 # the rounding of the curves' coordinates and of a membership test.
 _ON_CURVE_ULPS = 16
-# Points per pass of face_samples' distances, times the circles (memory bound).
+# Rays per pass of face_samples' crossings, times the circles (memory bound).
 _CHUNK = 1 << 16
 # Offsets from a point's place in a comb's sorted lines to its four nearest.
 _AROUND = np.arange(-2, 2)
+# A ray this close to parallel to a line never crosses it (_line_crossings).
+_PARALLEL = 1e-14
+# A sector at w no wider than min(4 eta / r, _HORN), r the least radius of
+# the circles through w, is a horn of zero opening: the rounding of w turns
+# the tangents of circles tangent at w by about eta / r.
+_HORN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -223,29 +235,26 @@ class JumpArrangement:
         return np.array([(c, lo, hi) for a, cs, lo, hi in self.combs if a == axis
                          for c in cs], dtype=float).reshape(-1, 3)
 
-    def distances(self, z, skip_x=np.nan, skip_y=np.nan) -> np.ndarray:
+    def distances(self, z) -> np.ndarray:
         """(points, circles + combs) distances from the points z to each
-        circle and to the nearest segment of each comb, leaving out the
-        segments within eta of the line x = skip_x or y = skip_y (scalars or
-        one per point; nan leaves none out)."""
+        circle and to the nearest segment of each comb."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         x, y = z.real, z.imag
         c = self.circles
         cols = [np.abs(np.hypot(x[:, None] - c[:, 0], y[:, None] - c[:, 1]) - c[:, 2])]
         for axis, cs, lo, hi in self.combs:
-            a, b, skip = (x, y, skip_x) if axis == 0 else (y, x, skip_y)
+            a, b = (x, y) if axis == 0 else (y, x)
             near = cs[np.clip(np.searchsorted(cs, a)[:, None] + _AROUND, 0, cs.size - 1)]
-            across = np.where(np.abs(near - np.reshape(skip, (-1, 1))) <= self.eta,
-                              np.inf, np.abs(a[:, None] - near)).min(axis=1)
+            across = np.abs(a[:, None] - near).min(axis=1)
             cols.append(np.hypot(across, np.maximum(np.maximum(lo - b, b - hi), 0.0))[:, None])
         return np.concatenate(cols, axis=1)
 
-    def _cuts(self, v: np.ndarray, h: np.ndarray):
+    def _cuts(self, v: np.ndarray, h: np.ndarray, tol: float):
         """(curve, parameter) of the points where each curve meets another,
         and of its ends: an angle in [0, 2 pi] on a circle, y on a vertical
         segment of v and x on a horizontal one of h, curves numbered circles,
-        v, h.  Curves within eta of touching touch."""
-        c, eta = self.circles, self.eta
+        v, h.  Curves within tol of touching touch."""
+        c = self.circles
         nc, nv = len(c), len(v)
         cx, cy, r = (a[:, None] for a in c.T)
         curve, param = [], []
@@ -253,7 +262,7 @@ class JumpArrangement:
             # circle i meets circle j at angles base +- half about centre i
             dx, dy = cx.T - cx, cy.T - cy
             d = np.hypot(dx, dy)
-            touch = (np.abs(d - (r + r.T)) <= eta) | (np.abs(d - np.abs(r - r.T)) <= eta)
+            touch = (np.abs(d - (r + r.T)) <= tol) | (np.abs(d - np.abs(r - r.T)) <= tol)
             i, j = np.nonzero((d > 0.0) & (touch | ((d < r + r.T) & (d > np.abs(r - r.T)))))
             a = (d * d + r * r - r.T * r.T) / (2.0 * d)
             half = np.arctan2(np.where(touch, 0.0, np.sqrt(r * r - a * a)), a)[i, j]
@@ -263,12 +272,12 @@ class JumpArrangement:
             # a circle and a segment at offset off from its centre meet at
             # half chords s
             for k, seg, off, along in ((0, v, v[:, 0] - cx, cy), (1, h, h[:, 0] - cy, cx)):
-                touch = np.abs(np.abs(off) - r) <= eta
+                touch = np.abs(np.abs(off) - r) <= tol
                 s = np.where(touch, 0.0, np.sqrt(r * r - off * off))
                 for sign in (1.0, -1.0):
                     at = along + sign * s
                     i, j = np.nonzero((touch | (np.abs(off) < r))
-                                      & (seg[:, 1] - eta <= at) & (at <= seg[:, 2] + eta))
+                                      & (seg[:, 1] - tol <= at) & (at <= seg[:, 2] + tol))
                     across, off_ij = sign * s[i, j], off[i, j]
                     curve += [i, nc + k * nv + j]
                     param += [np.arctan2(across, off_ij) if k == 0 else np.arctan2(off_ij, across),
@@ -277,8 +286,8 @@ class JumpArrangement:
         param = np.concatenate(param)
         param[circle] %= 2.0 * math.pi
         # vertical and horizontal segments
-        j, k = np.nonzero((h[:, 1] - eta <= v[:, :1]) & (v[:, :1] <= h[:, 2] + eta)
-                          & (v[:, 1:2] - eta <= h[:, 0]) & (h[:, 0] <= v[:, 2:] + eta))
+        j, k = np.nonzero((h[:, 1] - tol <= v[:, :1]) & (v[:, :1] <= h[:, 2] + tol)
+                          & (v[:, 1:2] - tol <= h[:, 0]) & (h[:, 0] <= v[:, 2:] + tol))
         ends = np.repeat(np.arange(nc + nv + len(h)), 2)
         curve = np.concatenate(curve + [nc + j, nc + nv + k, ends])
         param = np.concatenate((param, h[k, 0], v[j, 0], np.tile((0.0, 2.0 * math.pi), nc),
@@ -287,20 +296,50 @@ class JumpArrangement:
         hi = np.concatenate((np.full(nc, 2.0 * math.pi), v[:, 2], h[:, 2]))
         return curve, np.clip(param, lo[curve], hi[curve])
 
-    def face_samples(self) -> np.ndarray:
-        """Two points beside the midpoint of each piece into which the curves
-        cut one another, one on either side, so that every face gets one.
+    def _first_crossing(self, p: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """The least t > eta at which each ray p + t n meets a curve (inf:
+        none).  A ray along a line of a comb meets it where it reaches the
+        segment."""
+        x, y, nx, ny = p.real, p.imag, n.real, n.imag
+        c, eta = self.circles, self.eta
+        t = _circle_crossings(c[:, 0], c[:, 1], c[:, 2], x[:, None], y[:, None],
+                              nx[:, None], ny[:, None])
+        first = np.where(t > eta, t, np.inf).min(axis=(1, 2), initial=np.inf)
+        for axis, cs, lo, hi in self.combs:
+            a, b, da, db = (x, y, nx, ny) if axis == 0 else (y, x, ny, nx)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # the stretch t0 <= t <= t1 of the ray within lo <= b <= hi
+                ta, tb = (lo - b) / db, (hi - b) / db
+                within = (lo <= b) & (b <= hi)
+                t0 = np.where(db != 0.0, np.minimum(ta, tb), np.where(within, -np.inf, np.inf))
+                t1 = np.where(db != 0.0, np.maximum(ta, tb), np.where(within, np.inf, -np.inf))
+                # the first line past t0 and eta in the ray's direction
+                start = a + np.maximum(t0, eta) * da
+                i = np.where(da > 0.0, np.searchsorted(cs, start, "left"),
+                             np.searchsorted(cs, start, "right") - 1)
+                tc = (cs[np.clip(i, 0, cs.size - 1)] - a) / da
+            cross = (np.abs(da) >= _PARALLEL) & (i >= 0) & (i < cs.size) & (tc <= t1)
+            near = cs[np.clip(np.searchsorted(cs, a)[:, None] + _AROUND, 0, cs.size - 1)]
+            along = ((np.abs(da) < _PARALLEL) & (np.abs(a[:, None] - near).min(axis=1) <= eta)
+                     & (t0 > eta))
+            first = np.minimum(first, np.where(cross, tc, np.where(along, t0, np.inf)))
+        return first
 
-        Each lies at half the midpoint's distance to the other curves (and
-        at most half a circle's radius) from it: in the face that touches the
-        piece there.  Segments on the piece's own line, and circles within
-        eta of its own circle, count as its curve.
-        A piece whose midpoint lies within 2 eta of another curve gets none,
-        so no point lands on a tangency or in a face narrower than the
-        rounding.
+    def face_samples(self) -> np.ndarray:
+        """Points in every face of the arrangement wider than the rounding:
+        two beside the midpoint of each piece into which the curves cut one
+        another, one on either side.
+
+        Each lies halfway along the normal from the midpoint to the first
+        curve it meets beyond eta, so in the face that touches the piece
+        there.  A side whose first curve lies within 4 eta of the midpoint
+        faces a sliver narrower than the rounding and gets none.  Curves
+        within 4 eta of touching are cut where they touch, so a near
+        tangency ends pieces rather than narrowing a face at their middle.
         """
+        reach = 4.0 * self.eta
         v, h = self._lines(0), self._lines(1)
-        curve, param = self._cuts(v, h)
+        curve, param = self._cuts(v, h, reach)
         order = np.lexsort((param, curve))
         curve, param = curve[order], param[order]
         piece = np.flatnonzero((curve[1:] == curve[:-1]) & (param[1:] > param[:-1]))
@@ -309,95 +348,146 @@ class JumpArrangement:
         nc, nv = len(self.circles), len(v)
         p = np.empty(k.size, dtype=complex)
         n = np.empty(k.size, dtype=complex)
-        cap = np.full(k.size, np.inf)
-        skip_x = np.full(k.size, np.nan)
-        skip_y = np.full(k.size, np.nan)
         m = k < nc
         c = self.circles[k[m]]
         n[m] = np.exp(1j * mid[m])
         p[m] = c[:, 0] + 1j * c[:, 1] + c[:, 2] * n[m]
-        cap[m] = 0.5 * c[:, 2]
         m = (k >= nc) & (k < nc + nv)
-        skip_x[m] = v[k[m] - nc, 0]
-        p[m] = skip_x[m] + 1j * mid[m]
+        p[m] = v[k[m] - nc, 0] + 1j * mid[m]
         n[m] = 1.0
         m = k >= nc + nv
-        skip_y[m] = h[k[m] - nc - nv, 0]
-        p[m] = mid[m] + 1j * skip_y[m]
+        p[m] = mid[m] + 1j * h[k[m] - nc - nv, 0]
         n[m] = 1j
-        # circles within eta of a circle count as it
-        twin = np.abs(self.circles[:, None] - self.circles).sum(axis=2) <= self.eta
-        clear = np.empty(k.size)
+        p, n = np.concatenate((p, p)), np.concatenate((n, -n))
         step = max(1, _CHUNK // max(1, nc))
-        for lo in range(0, k.size, step):
-            part = slice(lo, lo + step)
-            d = self.distances(p[part], skip_x[part], skip_y[part])
-            own = np.flatnonzero(k[part] < nc)
-            d[own, :nc] = np.where(twin[k[part][own]], np.inf, d[own, :nc])
-            clear[part] = d.min(axis=1, initial=np.inf)
-        eps = np.minimum(0.5 * clear, cap)
-        keep = eps > self.eta
-        p, n, eps = p[keep], n[keep], eps[keep]
-        return np.concatenate((p + eps * n, p - eps * n))
+        t = np.concatenate([self._first_crossing(p[lo:lo + step], n[lo:lo + step])
+                            for lo in range(0, p.size, step)] or [np.empty(0)])
+        keep = t > reach
+        return p[keep] + 0.5 * np.minimum(t[keep], self.scale) * n[keep]
 
-    def sector_points(self, w: complex) -> np.ndarray:
-        """Points at which g takes its values around w: w itself when w lies
-        on no curve, else one on the bisector of each sector of positive
-        opening that the curves through w cut out at w.
+    def sector_directions(self, w: complex, support: tuple) -> np.ndarray | None:
+        """Bisectors of the sectors of positive opening that the curves
+        through w cut out at w, the support circle (cx, cy, r) among them;
+        None when w lies on no curve.
 
-        Each point is nearer to w than every other curve, and near enough
-        that no circle through w bends across the bisector.  A sector whose
-        point would lie within eta of its sides is a horn of zero opening,
-        as between circles tangent at w, and gets none.
+        A circle within eta of w leaves it both ways along its tangent, a
+        segment within eta across, and within eta of its extent along, each
+        way it goes on past w.
         """
-        d = self.distances(w)[0]
-        on = d <= self.eta
-        if not on.any():
-            return np.array([w], dtype=complex)
-        nc, eta = len(self.circles), self.eta
-        c = self.circles[on[:nc]]
-        phi = np.angle(w - (c[:, 0] + 1j * c[:, 1]))
-        # a circle leaves w both ways along its tangent, a segment each way
-        # it continues past w
+        eta, x, y = self.eta, w.real, w.imag
+        c = np.vstack((self.circles, support))
+        c = c[np.abs(np.hypot(x - c[:, 0], y - c[:, 1]) - c[:, 2]) <= eta]
+        phi = np.arctan2(y - c[:, 1], x - c[:, 0])
         rays = [phi + 0.5 * math.pi, phi - 0.5 * math.pi]
-        vertical = horizontal = False
-        for (axis, _, lo, hi), through in zip(self.combs, on[nc:]):
-            if through:
-                b, ahead, behind = (w.imag, 0.5, 1.5) if axis == 0 else (w.real, 0.0, 1.0)
+        for axis, cs, lo, hi in self.combs:
+            a, b = (x, y) if axis == 0 else (y, x)
+            near = cs[np.clip(np.searchsorted(cs, a) + _AROUND, 0, cs.size - 1)]
+            if lo - eta <= b <= hi + eta and np.abs(a - near).min() <= eta:
+                ahead, behind = (0.5, 1.5) if axis == 0 else (0.0, 1.0)
                 rays.append([ahead * math.pi] if b < hi - eta else [])
                 rays.append([behind * math.pi] if b > lo + eta else [])
-                vertical, horizontal = vertical or axis == 0, horizontal or axis == 1
         a = np.sort(np.concatenate(rays) % (2.0 * math.pi))
         if a.size == 0:
-            a = np.zeros(1)
+            return None
         opening = np.diff(a, append=a[0] + 2.0 * math.pi)
-        sin_half = np.sin(0.5 * np.minimum(opening, math.pi))
-        others = self.distances(w, w.real if vertical else np.nan,
-                                w.imag if horizontal else np.nan)[0]
-        others[:nc][on[:nc]] = np.inf
-        reach = np.min(others, initial=self.scale)
-        rho = 0.5 * np.minimum(reach, np.min(c[:, 2], initial=self.scale) * sin_half)
-        keep = rho * sin_half > eta
-        return w + rho[keep] * np.exp(1j * (a + 0.5 * opening)[keep])
+        horn = min(4.0 * eta / np.min(c[:, 2], initial=np.inf), _HORN)
+        return (a + 0.5 * opening)[opening > horn]
 
 
-def jump_arrangement(g: DensitySpec) -> JumpArrangement:
-    """The JumpArrangement of the regions and grid of a structurally valid g."""
-    circles, combs = set(), set()
-    for region, _ in g.terms:
+def _towards(g: DensitySpec, w: complex, theta: np.ndarray, eta: float) -> np.ndarray:
+    """g just off w in the directions theta, every jump curve within eta of
+    w taken to pass through w: a region's condition slack >= 0 holds there
+    as at w, or, where its curve passes through w, as its rate of change
+    along the direction is positive."""
+    x, y = w.real, w.imag
+    ct, st = np.cos(theta), np.sin(theta)
+
+    def holds(slack, rate):
+        return rate > 0.0 if abs(slack) <= eta else np.full(theta.shape, slack > 0.0)
+
+    def disc(cx, cy, r, inside=True):
+        d = float(np.hypot(x - cx, y - cy))
+        out = ((x - cx) * ct + (y - cy) * st) / d if d > 0.0 else np.ones(theta.shape)
+        return holds(r - d, -out) if inside else holds(d - r, out)
+
+    val = np.zeros(theta.shape)
+    for region, coeff in g.terms:
         if isinstance(region, Disk):
-            circles.add((region.cx, region.cy, region.r))
+            inside = disc(region.cx, region.cy, region.r)
         elif isinstance(region, Annulus):
-            circles.update((region.cx, region.cy, r) for r in (region.r_inner, region.r_outer)
-                           if r > 0.0)
+            inside = disc(region.cx, region.cy, region.r_outer)
+            if region.r_inner > 0.0:
+                inside &= disc(region.cx, region.cy, region.r_inner, inside=False)
         else:
+            inside = (holds(x - region.x0, ct) & holds(region.x1 - x, -ct)
+                      & holds(y - region.y0, st) & holds(region.y1 - y, -st))
+        val += np.where(inside, coeff, 0.0)
+    if g.grid is not None:
+        grid, cells = g.grid, []
+        for a, origin, rate in ((x, grid.origin_x, ct), (y, grid.origin_y, st)):
+            k = round((a - origin) / grid.spacing)
+            cells.append(np.where(rate > 0.0, k, k - 1)
+                         if abs(a - (origin + k * grid.spacing)) <= eta
+                         else np.full(theta.shape, math.floor((a - origin) / grid.spacing)))
+        ix, iy = cells
+        ok = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
+        val += np.where(ok, grid.values[np.clip(iy, 0, grid.ny - 1), np.clip(ix, 0, grid.nx - 1)],
+                        0.0)
+    center = g.support_center
+    return np.where(disc(center.real, center.imag, g.support_radius), val, 0.0)
+
+
+def sector_values(g: DensitySpec, w: complex) -> np.ndarray:
+    """The values g takes around w: g(w) when w lies on no jump curve of g,
+    else its value just off w inside each sector of positive opening that
+    the curves through w cut out (JumpArrangement.sector_directions).
+
+    The diagonal integral of g |u-w|^-2 diverges exactly when one of them
+    is positive; horns of zero opening, as between circles tangent at w,
+    carry no such value.
+    """
+    arrangement = g.arrangement
+    support = (g.support_center.real, g.support_center.imag, g.support_radius)
+    theta = arrangement.sector_directions(w, support)
+    if theta is None:
+        return np.array([eval_density(g, w)])
+    return _towards(g, w, theta, arrangement.eta)
+
+
+def jump_arrangement(g: DensitySpec, covered: bool = False) -> JumpArrangement:
+    """The JumpArrangement of the regions and grid of a structurally valid g.
+
+    With covered, the grid lines are kept only inside the bounding box of
+    the regions, the one place where g can differ from a grid value.
+    """
+    circles, combs = set(), set()
+    box = [math.inf, -math.inf, math.inf, -math.inf]
+    for region, _ in g.terms:
+        if isinstance(region, Rectangle):
             combs.update(((0, (region.x0, region.x1), region.y0, region.y1),
                           (1, (region.y0, region.y1), region.x0, region.x1)))
+            x0, x1, y0, y1 = region.x0, region.x1, region.y0, region.y1
+        else:
+            radii = ((region.r,) if isinstance(region, Disk)
+                     else (region.r_inner, region.r_outer))
+            circles.update((region.cx, region.cy, r) for r in radii if r > 0.0)
+            x0, x1, y0, y1 = (region.cx - radii[-1], region.cx + radii[-1],
+                              region.cy - radii[-1], region.cy + radii[-1])
+        box = [min(box[0], x0), max(box[1], x1), min(box[2], y0), max(box[3], y1)]
     if g.grid is not None:
         s = g.grid.spacing
-        xs = tuple(g.grid.origin_x + np.arange(g.grid.nx + 1) * s)
-        ys = tuple(g.grid.origin_y + np.arange(g.grid.ny + 1) * s)
-        combs.update(((0, xs, ys[0], ys[-1]), (1, ys, xs[0], xs[-1])))
+        xs = g.grid.origin_x + np.arange(g.grid.nx + 1) * s
+        ys = g.grid.origin_y + np.arange(g.grid.ny + 1) * s
+        if not covered:
+            box = [xs[0], xs[-1], ys[0], ys[-1]]
+        xs = tuple(xs[(xs >= box[0]) & (xs <= box[1])])
+        ys = tuple(ys[(ys >= box[2]) & (ys <= box[3])])
+        y_lo, y_hi = max(g.grid.origin_y, box[2]), min(g.grid.origin_y + g.grid.ny * s, box[3])
+        x_lo, x_hi = max(g.grid.origin_x, box[0]), min(g.grid.origin_x + g.grid.nx * s, box[1])
+        if xs and y_lo < y_hi:
+            combs.add((0, xs, y_lo, y_hi))
+        if ys and x_lo < x_hi:
+            combs.add((1, ys, x_lo, x_hi))
     scale = abs(g.support_center) + g.support_radius
     return JumpArrangement(np.array(sorted(circles), dtype=float).reshape(-1, 3),
                            tuple((a, np.array(cs), lo, hi) for a, cs, lo, hi in sorted(combs)),
@@ -407,6 +497,8 @@ def jump_arrangement(g: DensitySpec) -> JumpArrangement:
 def validate(g: DensitySpec) -> DensitySpec:
     """Check the structure of g, then 0 <= g <= 1 on every face of its jump
     arrangement, at the face samples of JumpArrangement.face_samples.
+    Outside the bounding box of the regions g is a grid value, so the grid
+    lines count only inside it.
 
     Raises DensityConfigError with the first offending point when a sample
     violates 0 <= g <= 1.  g is zero outside the support disc by
@@ -448,7 +540,7 @@ def validate(g: DensitySpec) -> DensitySpec:
                 g.support_center.real, g.support_center.imag, g.support_radius):
             raise DensityConfigError("grid extends beyond the support disc")
 
-    pts = jump_arrangement(g).face_samples()
+    pts = (g.arrangement if g.grid is None else jump_arrangement(g, covered=True)).face_samples()
     vals = eval_density(g, pts)
     tol = 1e-12
     bad = np.flatnonzero((vals < -tol) | (vals > 1.0 + tol))

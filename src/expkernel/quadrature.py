@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .density import DensitySpec, clear_radius, eval_density, jump_arrangement
+from .density import DensitySpec, clear_radius, eval_density, sector_values
 from .geometry import INSIDE, OUTSIDE, STRADDLE, Annulus, Disk, Rectangle
 
 __all__ = [
@@ -926,15 +926,14 @@ def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> Diagona
 
     The integral diverges exactly when g > 0 on a sector at w of positive
     opening: at w itself when w lies on no jump curve of g, else on one of
-    the sectors that the curves through w cut out
-    (JumpArrangement.sector_points).  Otherwise, horns of zero opening at a
-    tangency included, it is finite and accumulated over geometric annuli
-    r_k = r_top * 2^-k.  Descent stops when the remaining disc is provably
-    free of support.
+    the sectors that the curves through w cut out (density.sector_values).
+    Otherwise, horns of zero opening at a tangency included, it is finite
+    and accumulated over geometric annuli r_k = r_top * 2^-k.  Descent
+    stops when the remaining disc is provably free of support.
     """
     tol = _check_tol(tol)
     w = _check_point(w)
-    if (eval_density(g, jump_arrangement(g).sector_points(w)) > 0.0).any():
+    if (sector_values(g, w) > 0.0).any():
         return DiagonalMass(True, math.inf, 0.0, 0)
     cr = clear_radius(g, w)
     r_top = abs(w - g.support_center) + g.support_radius

@@ -100,6 +100,33 @@ def test_validate_accepts_externally_tangent_discs(r):
     assert np.min(eval_density(g, samples)) == 0.0
 
 
+@pytest.mark.parametrize("second", [
+    Disk(5e-15, 0.0, 0.5), Disk(0.0, 0.0, 0.5 + 5e-15), Disk(5e-15, 0.0, 0.5 + 5e-15),
+], ids=["offset", "concentric", "tangent_inside"])
+def test_validate_rejects_nearly_coincident_discs(second):
+    # g = 2 on almost the whole disc; the two circles lie a few rounding
+    # units apart, so the faces between them are slivers
+    with pytest.raises(DensityConfigError, match="out of range"):
+        make_density(0j, 1.0, [(Disk(0.0, 0.0, 0.5), 1.0), (second, 1.0)])
+
+
+def test_validation_counts_grid_lines_only_under_regions(monkeypatch):
+    points = []
+
+    def counted(g, u):
+        points.append(np.size(u))
+        return eval_density(g, u)
+
+    monkeypatch.setattr(density, "eval_density", counted)
+    grid = GridLayer(-0.5, -0.5, 1.0 / 64, np.full((64, 64), 0.5))
+    make_density(0j, 1.0, [], grid)
+    assert sum(points) == 0
+    make_density(0j, 1.0, [(Rectangle(0.01, 0.01, 0.2, 0.2), 0.5)], grid)
+    assert 0 < sum(points) < 1000
+    with pytest.raises(DensityConfigError):
+        make_density(0j, 1.0, [(Rectangle(0.01, 0.01, 0.2, 0.2), 0.6)], grid)
+
+
 def test_validate_rectangle_edge_on_grid_line():
     # the rectangle's left edge lies on the grid line x = 0, its top and
     # bottom on y = +-0.25; where it touches the grid only along x = 0.5,

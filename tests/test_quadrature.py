@@ -7,7 +7,8 @@ import pytest
 
 from expkernel.cauchy import make_transform
 from expkernel.density import (GridLayer, Mcg64, annulus_density, disc_density,
-                               make_density, swiss_cheese, unit_disc_density)
+                               make_density, sector_values, swiss_cheese,
+                               unit_disc_density)
 from expkernel.geometry import Annulus, Disk, Rectangle, disk_rect_area
 from expkernel import quadrature
 from expkernel.kernel import (disc_imag_integral, disc_real_integral, eval_E, eval_E_disc,
@@ -279,14 +280,31 @@ _ON_CIRCLE = complex(math.cos(1.0), math.sin(1.0))
     (SWISS, complex(HOLE.cx + HOLE.r, HOLE.cy)),
     (_RING, 0.1 + 0.05j + 0.35 * _ON_CIRCLE),
     (_RING, complex(0.1 - 0.35, 0.05)),
+    (make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 1.0), (Disk(0.0, 0.0, 1.0 - 5e-15), 0.0)]),
+     1.0 + 0j),
+    (make_density(0j, 1.0, [(Disk(0.0, 0.0, 0.25), 0.0), (Annulus(0.0, 0.0, 3.7e-18, 0.25), 1.0)]),
+     complex(3.691231159390688e-18, 0.0)),
 ], ids=["interior", "unit_circle", "unit_circle_i", "rectangle_corner", "rectangle_edge",
-        "grid_vertex", "hole_circle", "hole_circle_axis", "annulus_inner", "annulus_inner_axis"])
+        "grid_vertex", "hole_circle", "hole_circle_axis", "annulus_inner", "annulus_inner_axis",
+        "circle_beside_circle", "tiny_circle"])
 def test_diagonal_divergence_decided_exactly(g, w, monkeypatch):
     # g > 0 on a sector at w of positive opening: no octave is summed
     monkeypatch.setattr(quadrature, "_radial_exact", _no_octaves)
     dm = integrate_diagonal(g, w, 1e-6)
     assert dm == quadrature.DiagonalMass(True, math.inf, 0.0, 0)
     assert type(dm.value) is float and type(dm.error_estimate) is float
+
+
+def test_sector_values():
+    # the quarter inside a rectangle corner and the three outside it; the
+    # two sides of the unit circle; a horn between tangent circles has no
+    # sector of its own
+    rect = make_density(0j, 1.0, [(Rectangle(*RECT), 1.0)])
+    assert sorted(sector_values(rect, complex(RECT[0], RECT[1]))) == [0.0, 1.0]
+    assert sorted(sector_values(UNIT, 1j)) == [0.0, 1.0]
+    assert list(sector_values(UNIT, 0.5 + 0j)) == [1.0]
+    horn = make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 1.0), (Disk(-0.1, 0.0, 0.9), -1.0)])
+    assert list(sector_values(horn, -1.0 + 0j)) == [0.0, 0.0]
 
 
 def test_diagonal_horn_at_tangency_is_finite():
