@@ -307,8 +307,9 @@ class JumpArrangement:
         first = np.where(t > eta, t, np.inf).min(axis=(1, 2), initial=np.inf)
         for axis, cs, lo, hi in self.combs:
             a, b, da, db = (x, y, nx, ny) if axis == 0 else (y, x, ny, nx)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # the stretch t0 <= t <= t1 of the ray within lo <= b <= hi
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # the stretch t0 <= t <= t1 of the ray within lo <= b <= hi;
+                # a subnormal db or da overflows to the infinite limit
                 ta, tb = (lo - b) / db, (hi - b) / db
                 within = (lo <= b) & (b <= hi)
                 t0 = np.where(db != 0.0, np.minimum(ta, tb), np.where(within, -np.inf, np.inf))

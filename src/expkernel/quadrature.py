@@ -825,7 +825,10 @@ def _boundary_rule(g: DensitySpec, lams, tol: float, points, potential):
         ln = length[k, None]
         at = t[p, k, None] + np.concatenate((d, -d), axis=1)
         at = np.where(radius[k, None] > 0.0, at % ln, np.clip(at, 0.0, ln))
-        breaks = np.unique(np.concatenate((start, (start[k, None] + at)[np.tile(d < ln, 2)])))
+        # Sorted and deduplicated by hand: np.unique imports numpy.ma on its
+        # first call, some 20 ms inside the first evaluation of a process.
+        breaks = np.sort(np.concatenate((start, (start[k, None] + at)[np.tile(d < ln, 2)])))
+        breaks = breaks[np.append(True, breaks[1:] != breaks[:-1])]
         values[lo:lo + step], errors[lo:lo + step], evals[lo:lo + step] = _adaptive_1d(
             f, breaks, tol / math.pi)
     bad = np.flatnonzero(~(math.pi * errors <= tol * (1.0 + 1e-9)))

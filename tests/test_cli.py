@@ -35,6 +35,20 @@ def test_eval_divergent_diagonal():
     assert "diagonal_case: diagonal_divergent" in r.stdout
 
 
+def test_eval_and_grid_leave_numpy_ma_unimported():
+    # numpy.ma takes some 20 ms to import, and np.unique imports it on its
+    # first call: that cost would land in the first evaluation of a process
+    code = ("import sys\n"
+            "from expkernel.cli import main\n"
+            "main(['eval', 'unit-disc', '--lam', '0.5,0', '--w', '0,0'])\n"
+            "main(['grid', 'swiss-cheese', '--w', '0.1,0.2', '--bounds', '-1.2,1.2,-1.2,1.2',"
+            " '--n', '3'])\n"
+            "print('numpy.ma' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
 def test_grid_zero_density_is_identically_one(tmp_path):
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expkernel import density, suites
@@ -202,6 +202,11 @@ _grid = st.none() | st.builds(
 
 @given(terms=st.lists(st.tuples(_region, _coeff), min_size=1, max_size=4), grid=_grid)
 @settings(max_examples=80, deadline=None)
+# a subnormal centre gives piece normals with subnormal components, whose
+# crossing distances overflow
+@example(terms=[(Disk(0.0, 0.0, 0.25), 1.0), (Disk(0.0, 0.0, 0.25), 1.0),
+                (Disk(0.0, -2.225073858507e-311, 0.25), 1.0),
+                (Rectangle(-0.25, -0.5, 0.25, 0.0), 1.0)], grid=None)
 def test_dense_sampler_finds_no_violation_in_accepted_specs(terms, grid):
     try:
         g = make_density(0j, 1.0, terms, grid)
