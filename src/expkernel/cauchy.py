@@ -15,11 +15,12 @@ representation of the exponential kernel through its own Cauchy data,
     E(lam, w) = 1 - (1/pi) ∫ E(u, w)/conj(u - w) * g(u)/(u - lam) dA(u).
 
 Inner transforms appearing inside an outer integrand are evaluated through
-closed forms when the density is a sum of discs/annuli (the disc transform
-is r^2/(conj(lam - c)) outside and -conj(lam - c) inside, up to scaling) and
-by the boundary rule along the jumps of g otherwise (a 1-D route, vectorized
-over the points), while the outer integrals take the 2-D quadtree, so each
-check still compares two independent numerical routes.
+closed forms when the density is a sum of signed discs, the circle rows of
+DensitySpec.curves (the disc transform is r^2/(conj(lam - c)) outside and
+-conj(lam - c) inside, up to scaling), and by the boundary rule along the
+jumps of g otherwise (a 1-D route, vectorized over the points), while the
+outer integrals take the 2-D quadtree, so each check still compares two
+independent numerical routes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .density import DensitySpec, clear_radius
-from .geometry import Annulus, Disk
 from .kernel import eval_E, eval_E_off_diagonal, eval_E_unit_disc
 from .quadrature import (boundary_cauchy_transform, boundary_log_kernel, cauchy_transform,
                          disc_mass, integrate_diagonal, integrate_singular)
@@ -88,39 +88,15 @@ def disc_transform(center: complex, radius: float, pts) -> np.ndarray:
     return radius * np.where(inside, -np.conj(z), -1.0 / safe)
 
 
-def _disc_pieces(g: DensitySpec):
-    """Break disc/annulus terms into signed concentric discs; None if not possible."""
-    if g.grid is not None:
-        return None
-    pieces = []
-    for region, coeff in g.terms:
-        if isinstance(region, Disk):
-            pieces.append((complex(region.cx, region.cy), region.r, coeff))
-        elif isinstance(region, Annulus):
-            c = complex(region.cx, region.cy)
-            pieces.append((c, region.r_outer, coeff))
-            pieces.append((c, region.r_inner, -coeff))
-        else:
-            return None
-    return pieces
-
-
 def make_transform(g: DensitySpec, tol: float = 1e-7) -> Callable:
-    """Vectorized lam -> ĝ(lam); closed form for disc sums, the boundary rule
-    over all the points at once otherwise."""
-    pieces = _disc_pieces(g)
-    if pieces is not None:
-
-        def closed(pts):
-            pts = np.asarray(pts, dtype=complex)
-            total = np.zeros(pts.shape, dtype=complex)
-            for c, r, coeff in pieces:
-                if r > 0.0:
-                    total = total + coeff * disc_transform(c, r, pts)
-            return total
-
-        return closed
-
+    """Vectorized lam -> ĝ(lam); closed form for disc sums (the circle rows
+    of DensitySpec.curves when g has no lattice), the boundary rule over all
+    the points at once otherwise."""
+    circles, lattices = g.curves
+    if not lattices:
+        return lambda pts: sum((jump * disc_transform(complex(cx, cy), r, pts)
+                                for cx, cy, r, jump in circles.tolist()),
+                               np.zeros(np.shape(pts), dtype=complex))
     return lambda pts: boundary_cauchy_transform(g, pts, tol)[0]
 
 
@@ -182,18 +158,16 @@ class H0Context:
 
 
 def _radial_profile(g: DensitySpec):
-    """[(r_lo, r_hi, coeff)] for densities radial about 0; None otherwise."""
-    if g.grid is not None:
+    """[(r_lo, r_hi, value)] of the rings about 0 on which g is a nonzero
+    constant, from the circle rows of DensitySpec.curves; None unless every
+    row is centred at 0 and g has no lattice."""
+    circles, lattices = g.curves
+    if lattices or circles[:, :2].any():
         return None
-    pieces = []
-    for region, coeff in g.terms:
-        if isinstance(region, Disk) and region.cx == 0.0 and region.cy == 0.0:
-            pieces.append((0.0, region.r, coeff))
-        elif isinstance(region, Annulus) and region.cx == 0.0 and region.cy == 0.0:
-            pieces.append((region.r_inner, region.r_outer, coeff))
-        else:
-            return None
-    return pieces
+    radii = sorted(set(circles[:, 2].tolist()))
+    rings = [(r_lo, r_hi, math.fsum(circles[circles[:, 2] >= r_hi, 3].tolist()))
+             for r_lo, r_hi in zip([0.0] + radii, radii)]
+    return [ring for ring in rings if ring[2] != 0.0]
 
 
 def _inv_conj(pts):
@@ -213,9 +187,9 @@ def make_h0_context(g: DensitySpec, tol: float = 1e-6) -> H0Context:
             pts = np.asarray(pts, dtype=complex)
             s = np.abs(pts)
             total = np.zeros(pts.shape, dtype=complex)
-            for r_lo, r_hi, coeff in profile:
+            for r_lo, r_hi, value in profile:
                 eff = np.clip(s, max(r_lo, 1e-300), r_hi)
-                total = total + (2.0 * coeff) * np.log(r_hi / eff)
+                total = total + (2.0 * value) * np.log(r_hi / eff)
             return total
     else:
         def transform(pts):
@@ -285,20 +259,20 @@ def _unit_disc_kernel_section(w: complex):
 
 
 def _kernel_section(g: DensitySpec, w: complex, tol: float):
-    """Vectorized u -> E_g(u, w) (u != w); closed for a single full disc, the
-    boundary rule over all the points at once otherwise."""
-    if g.grid is None and len(g.terms) == 1:
-        region, coeff = g.terms[0]
-        if isinstance(region, Disk) and coeff == 1.0:
-            c = complex(region.cx, region.cy)
-            r = region.r
-            base = _unit_disc_kernel_section((complex(w) - c) / r)
+    """Vectorized u -> E_g(u, w) (u != w); closed when g is one disc of
+    value 1 (a single circle row of jump 1), the boundary rule over all the
+    points at once otherwise."""
+    circles, lattices = g.curves
+    if not lattices and len(circles) == 1 and circles[0, 3] == 1.0:
+        cx, cy, r, _ = circles[0].tolist()
+        c = complex(cx, cy)
+        base = _unit_disc_kernel_section((complex(w) - c) / r)
 
-            def closed(pts):
-                pts = np.asarray(pts, dtype=complex)
-                return base((pts - c) / r)
+        def closed(pts):
+            pts = np.asarray(pts, dtype=complex)
+            return base((pts - c) / r)
 
-            return closed
+        return closed
 
     return lambda pts: eval_E_off_diagonal(g, pts, complex(w), tol)[0]
 

@@ -5,11 +5,14 @@ piecewise-constant grid layer,
 
     g(u) = sum_i coeff_i * 1_{R_i}(u) + grid(u),
 
-clipped to zero outside the declared support disc.  g is constant on each
-face of the arrangement of its jump curves (region boundaries and grid
-lines), so a spec is validated exactly by evaluating g at one point of every
-face: every admissible spec satisfies 0 <= g <= 1 off those curves, and the
-same arrangement tells which values g takes around any point.
+clipped to zero outside the declared support disc.  g jumps only on
+circles and on the lines of lattices (a rectangle is a lattice of one
+cell), and DensitySpec.curves is the one table of them: every module that
+needs g's jumps reads it rather than the region kinds.  g is constant on
+each face of the arrangement of those curves, so a spec is validated
+exactly by evaluating g at one point of every face: every admissible spec
+satisfies 0 <= g <= 1 off the curves, and the same arrangement tells which
+values g takes around any point.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Annulus, Disk, Rectangle, Region, _circle_crossings, _line_crossings
+from .geometry import (INSIDE, STRADDLE, Annulus, Disk, Rectangle, Region, _circle_crossings,
+                       _line_crossings)
 
 _MASK64 = (1 << 64) - 1
 
@@ -151,6 +155,36 @@ class DensitySpec:
     support_radius: float
     terms: tuple[tuple[Region, float], ...]
     grid: GridLayer | None = None
+
+    @cached_property
+    def curves(self) -> tuple[np.ndarray, tuple]:
+        """(circles, lattices): the one place that turns region kinds into
+        the curves where g jumps.  g at a point is the sum of the jumps of
+        the circles around it plus the value of its cell in each lattice.
+
+        circles: rows (cx, cy, r, jump) in term order, a disc giving (r,
+        coeff) and an annulus (r_inner, -coeff), then (r_outer, coeff); rows
+        of radius 0 are dropped.  lattices: (xs, ys, values), values[j, i]
+        on [xs[i], xs[i+1]] x [ys[j], ys[j+1]]; each rectangle is a 1 x 1
+        lattice of its coefficient, in term order, and the grid comes last.
+        The support circle clips g but is not a curve of the table.
+        """
+        circles, lattices = [], []
+        for region, coeff in self.terms:
+            if isinstance(region, Rectangle):
+                lattices.append((np.array([region.x0, region.x1]),
+                                 np.array([region.y0, region.y1]), np.array([[coeff]])))
+            elif isinstance(region, Disk):
+                circles.append((region.cx, region.cy, region.r, coeff))
+            else:
+                circles += [(region.cx, region.cy, region.r_inner, -coeff),
+                            (region.cx, region.cy, region.r_outer, coeff)]
+        grid = self.grid
+        if grid is not None:
+            lattices.append((grid.origin_x + np.arange(grid.nx + 1) * grid.spacing,
+                             grid.origin_y + np.arange(grid.ny + 1) * grid.spacing, grid.values))
+        return (np.array([c for c in circles if c[2] > 0.0], dtype=float).reshape(-1, 4),
+                tuple(lattices))
 
     @cached_property
     def arrangement(self) -> JumpArrangement:
@@ -326,7 +360,7 @@ class JumpArrangement:
             first = np.minimum(first, np.where(cross, tc, np.where(along, t0, np.inf)))
         return first
 
-    def face_samples(self) -> np.ndarray:
+    def face_samples(self, lines=None) -> np.ndarray:
         """Points in every face of the arrangement wider than the rounding:
         two beside the midpoint of each piece into which the curves cut one
         another, one on either side.
@@ -337,9 +371,13 @@ class JumpArrangement:
         faces a sliver narrower than the rounding and gets none.  Curves
         within 4 eta of touching are cut where they touch, so a near
         tangency ends pieces rather than narrowing a face at their middle.
+
+        ``lines``, rows (c, lo, hi) of vertical and of horizontal segments,
+        replaces the combs' segments as the pieces to cut and sample, while
+        a normal still stops at the first curve of the whole arrangement.
         """
         reach = 4.0 * self.eta
-        v, h = self._lines(0), self._lines(1)
+        v, h = (self._lines(0), self._lines(1)) if lines is None else lines
         curve, param = self._cuts(v, h, reach)
         order = np.lexsort((param, curve))
         curve, param = curve[order], param[order]
@@ -397,45 +435,34 @@ class JumpArrangement:
 
 def _towards(g: DensitySpec, w: complex, theta: np.ndarray, eta: float) -> np.ndarray:
     """g just off w in the directions theta, every jump curve within eta of
-    w taken to pass through w: a region's condition slack >= 0 holds there
-    as at w, or, where its curve passes through w, as its rate of change
-    along the direction is positive."""
+    w taken to pass through w: a point lies inside a circle, or past a line
+    of a lattice, as at w, or, where the curve passes through w, as the
+    direction leads.  The jumps and cell values of DensitySpec.curves are
+    summed exactly, so where they cancel the value is exactly 0."""
     x, y = w.real, w.imag
     ct, st = np.cos(theta), np.sin(theta)
 
-    def holds(slack, rate):
-        return rate > 0.0 if abs(slack) <= eta else np.full(theta.shape, slack > 0.0)
-
-    def disc(cx, cy, r, inside=True):
+    def inside(cx, cy, r):
         d = float(np.hypot(x - cx, y - cy))
-        out = ((x - cx) * ct + (y - cy) * st) / d if d > 0.0 else np.ones(theta.shape)
-        return holds(r - d, -out) if inside else holds(d - r, out)
+        if abs(r - d) > eta:
+            return np.full(theta.shape, r > d)
+        return (((x - cx) * ct + (y - cy) * st) / d if d > 0.0 else np.ones(theta.shape)) < 0.0
 
-    val = np.zeros(theta.shape)
-    for region, coeff in g.terms:
-        if isinstance(region, Disk):
-            inside = disc(region.cx, region.cy, region.r)
-        elif isinstance(region, Annulus):
-            inside = disc(region.cx, region.cy, region.r_outer)
-            if region.r_inner > 0.0:
-                inside &= disc(region.cx, region.cy, region.r_inner, inside=False)
-        else:
-            inside = (holds(x - region.x0, ct) & holds(region.x1 - x, -ct)
-                      & holds(y - region.y0, st) & holds(region.y1 - y, -st))
-        val += np.where(inside, coeff, 0.0)
-    if g.grid is not None:
-        grid, cells = g.grid, []
-        for a, origin, rate in ((x, grid.origin_x, ct), (y, grid.origin_y, st)):
-            k = round((a - origin) / grid.spacing)
-            cells.append(np.where(rate > 0.0, k, k - 1)
-                         if abs(a - (origin + k * grid.spacing)) <= eta
-                         else np.full(theta.shape, math.floor((a - origin) / grid.spacing)))
+    circles, lattices = g.curves
+    parts = [np.where(inside(cx, cy, r), jump, 0.0) for cx, cy, r, jump in circles.tolist()]
+    for xs, ys, values in lattices:
+        cells = []
+        for a, lines, rate in ((x, xs, ct), (y, ys, st)):
+            k = int(np.argmin(np.abs(lines - a)))
+            cells.append(np.where(rate > 0.0, k, k - 1) if abs(a - lines[k]) <= eta
+                         else np.full(theta.shape, np.searchsorted(lines, a, "right") - 1))
         ix, iy = cells
-        ok = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
-        val += np.where(ok, grid.values[np.clip(iy, 0, grid.ny - 1), np.clip(ix, 0, grid.nx - 1)],
-                        0.0)
+        ny, nx = values.shape
+        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        parts.append(np.where(ok, values[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)], 0.0))
+    val = np.array([math.fsum(p) for p in np.reshape(parts, (-1, theta.size)).T])
     center = g.support_center
-    return np.where(disc(center.real, center.imag, g.support_radius), val, 0.0)
+    return np.where(inside(center.real, center.imag, g.support_radius), val, 0.0)
 
 
 def sector_values(g: DensitySpec, w: complex) -> np.ndarray:
@@ -455,51 +482,38 @@ def sector_values(g: DensitySpec, w: complex) -> np.ndarray:
     return _towards(g, w, theta, arrangement.eta)
 
 
-def jump_arrangement(g: DensitySpec, covered: bool = False) -> JumpArrangement:
-    """The JumpArrangement of the regions and grid of a structurally valid g.
-
-    With covered, the grid lines are kept only inside the bounding box of
-    the regions, the one place where g can differ from a grid value.
-    """
-    circles, combs = set(), set()
-    box = [math.inf, -math.inf, math.inf, -math.inf]
-    for region, _ in g.terms:
-        if isinstance(region, Rectangle):
-            combs.update(((0, (region.x0, region.x1), region.y0, region.y1),
-                          (1, (region.y0, region.y1), region.x0, region.x1)))
-            x0, x1, y0, y1 = region.x0, region.x1, region.y0, region.y1
-        else:
-            radii = ((region.r,) if isinstance(region, Disk)
-                     else (region.r_inner, region.r_outer))
-            circles.update((region.cx, region.cy, r) for r in radii if r > 0.0)
-            x0, x1, y0, y1 = (region.cx - radii[-1], region.cx + radii[-1],
-                              region.cy - radii[-1], region.cy + radii[-1])
-        box = [min(box[0], x0), max(box[1], x1), min(box[2], y0), max(box[3], y1)]
-    if g.grid is not None:
-        s = g.grid.spacing
-        xs = g.grid.origin_x + np.arange(g.grid.nx + 1) * s
-        ys = g.grid.origin_y + np.arange(g.grid.ny + 1) * s
-        if not covered:
-            box = [xs[0], xs[-1], ys[0], ys[-1]]
-        xs = tuple(xs[(xs >= box[0]) & (xs <= box[1])])
-        ys = tuple(ys[(ys >= box[2]) & (ys <= box[3])])
-        y_lo, y_hi = max(g.grid.origin_y, box[2]), min(g.grid.origin_y + g.grid.ny * s, box[3])
-        x_lo, x_hi = max(g.grid.origin_x, box[0]), min(g.grid.origin_x + g.grid.nx * s, box[1])
-        if xs and y_lo < y_hi:
-            combs.add((0, xs, y_lo, y_hi))
-        if ys and x_lo < x_hi:
-            combs.add((1, ys, x_lo, x_hi))
+def jump_arrangement(g: DensitySpec) -> JumpArrangement:
+    """The JumpArrangement of the curves of a structurally valid g
+    (DensitySpec.curves): its circles, and two combs per lattice."""
+    circles, lattices = g.curves
+    combs = set()
+    for xs, ys, _ in lattices:
+        combs.update(((0, tuple(xs.tolist()), float(ys[0]), float(ys[-1])),
+                      (1, tuple(ys.tolist()), float(xs[0]), float(xs[-1]))))
     scale = abs(g.support_center) + g.support_radius
-    return JumpArrangement(np.array(sorted(circles), dtype=float).reshape(-1, 3),
+    return JumpArrangement(np.array(sorted(set(map(tuple, circles[:, :3].tolist()))),
+                                    dtype=float).reshape(-1, 3),
                            tuple((a, np.array(cs), lo, hi) for a, cs, lo, hi in sorted(combs)),
                            _ON_CURVE_ULPS * math.ulp(scale), scale)
+
+
+def _cell_lines(xs: np.ndarray, ys: np.ndarray, cells: np.ndarray):
+    """Rows (c, lo, hi) of the vertical and of the horizontal edges of the
+    marked cells[j, i] of the lattice xs, ys, an edge two cells share once."""
+    j, i = np.nonzero(np.pad(cells, ((0, 0), (1, 0))) | np.pad(cells, ((0, 0), (0, 1))))
+    k, m = np.nonzero(np.pad(cells, ((1, 0), (0, 0))) | np.pad(cells, ((0, 1), (0, 0))))
+    return (np.column_stack((xs[i], ys[j], ys[j + 1])),
+            np.column_stack((ys[k], xs[m], xs[m + 1])))
 
 
 def validate(g: DensitySpec) -> DensitySpec:
     """Check the structure of g, then 0 <= g <= 1 on every face of its jump
     arrangement, at the face samples of JumpArrangement.face_samples.
-    Outside the bounding box of the regions g is a grid value, so the grid
-    lines count only inside it.
+
+    A grid cell that no region straddles (classify_cell) is a face of its
+    own: g is checked at its centre when a region covers it, and is the
+    cell's grid value otherwise.  So only the region curves and the edges of
+    the straddled cells are cut into pieces and sampled.
 
     Raises DensityConfigError with the first offending point when a sample
     violates 0 <= g <= 1.  g is zero outside the support disc by
@@ -541,7 +555,20 @@ def validate(g: DensitySpec) -> DensitySpec:
                 g.support_center.real, g.support_center.imag, g.support_radius):
             raise DensityConfigError("grid extends beyond the support disc")
 
-    pts = (g.arrangement if g.grid is None else jump_arrangement(g, covered=True)).face_samples()
+    lines = None
+    pts = np.empty(0, dtype=complex)
+    if g.grid is not None:
+        *rects, (xs, ys, _) = g.curves[1]
+        x0, y0 = np.meshgrid(xs[:-1], ys[:-1])
+        x1, y1 = np.meshgrid(xs[1:], ys[1:])
+        kinds = np.reshape([region.classify_cell(x0, x1, y0, y1) for region, _ in g.terms],
+                           (-1,) + x0.shape)
+        straddle = (kinds == STRADDLE).any(axis=0)
+        centre = (kinds == INSIDE).any(axis=0) & ~straddle
+        pts = 0.5 * (x0[centre] + x1[centre]) + 0.5j * (y0[centre] + y1[centre])
+        parts = [_cell_lines(rx, ry, np.ones((1, 1), dtype=bool)) for rx, ry, _ in rects]
+        lines = tuple(np.concatenate(p) for p in zip(*parts, _cell_lines(xs, ys, straddle)))
+    pts = np.concatenate((g.arrangement.face_samples(lines), pts))
     vals = eval_density(g, pts)
     tol = 1e-12
     bad = np.flatnonzero((vals < -tol) | (vals > 1.0 + tol))
@@ -623,13 +650,23 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -
         raise DensityConfigError(f"missing keys in {what}: {sorted(missing)}")
 
 
+def _parse_number(v, what: str) -> float:
+    """A JSON number as a float; bool, str, None and containers raise."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise DensityConfigError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise DensityConfigError(f"{what} is out of range") from None
+
+
 def _parse_point(v, what: str) -> complex:
     if (not isinstance(v, (list, tuple))) or len(v) != 2:
         raise DensityConfigError(f"{what} must be a [x, y] pair")
-    x, y = v
-    if not all(isinstance(t, (int, float)) and math.isfinite(t) for t in (x, y)):
+    x, y = (_parse_number(t, what) for t in v)
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise DensityConfigError(f"{what} must be finite numbers")
-    return complex(float(x), float(y))
+    return complex(x, y)
 
 
 def _parse_shape(obj) -> Region:
@@ -639,12 +676,13 @@ def _parse_shape(obj) -> Region:
     if kind == "disk":
         _require_keys(obj, {"kind", "center", "radius"}, {"kind", "center", "radius"}, "disk shape")
         c = _parse_point(obj["center"], "disk center")
-        return Disk(c.real, c.imag, float(obj["radius"]))
+        return Disk(c.real, c.imag, _parse_number(obj["radius"], "disk radius"))
     if kind == "annulus":
         _require_keys(obj, {"kind", "center", "r_inner", "r_outer"},
                       {"kind", "center", "r_inner", "r_outer"}, "annulus shape")
         c = _parse_point(obj["center"], "annulus center")
-        return Annulus(c.real, c.imag, float(obj["r_inner"]), float(obj["r_outer"]))
+        return Annulus(c.real, c.imag, _parse_number(obj["r_inner"], "annulus r_inner"),
+                       _parse_number(obj["r_outer"], "annulus r_outer"))
     if kind == "rectangle":
         _require_keys(obj, {"kind", "corner_min", "corner_max"},
                       {"kind", "corner_min", "corner_max"}, "rectangle shape")
@@ -661,9 +699,7 @@ def parse_density_config(obj) -> DensitySpec:
     _require_keys(obj, {"support_center", "support_radius", "terms", "grid"},
                   {"support_center", "support_radius", "terms"}, "config")
     center = _parse_point(obj["support_center"], "support_center")
-    radius = obj["support_radius"]
-    if not isinstance(radius, (int, float)):
-        raise DensityConfigError("support_radius must be a number")
+    radius = _parse_number(obj["support_radius"], "support_radius")
     if not isinstance(obj["terms"], list):
         raise DensityConfigError("terms must be a list")
     terms = []
@@ -671,9 +707,7 @@ def parse_density_config(obj) -> DensitySpec:
         if not isinstance(t, dict):
             raise DensityConfigError("term must be an object")
         _require_keys(t, {"shape", "coeff"}, {"shape", "coeff"}, "term")
-        if not isinstance(t["coeff"], (int, float)):
-            raise DensityConfigError("coeff must be a number")
-        terms.append((_parse_shape(t["shape"]), float(t["coeff"])))
+        terms.append((_parse_shape(t["shape"]), _parse_number(t["coeff"], "coeff")))
     grid = None
     if "grid" in obj:
         gobj = obj["grid"]
@@ -682,12 +716,14 @@ def parse_density_config(obj) -> DensitySpec:
         _require_keys(gobj, {"origin", "spacing", "values"},
                       {"origin", "spacing", "values"}, "grid")
         origin = _parse_point(gobj["origin"], "grid origin")
-        try:
-            values = np.asarray(gobj["values"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DensityConfigError(f"grid values not numeric: {exc}") from None
-        grid = GridLayer(origin.real, origin.imag, float(gobj["spacing"]), values)
-    return make_density(center, float(radius), terms, grid)
+        rows = gobj["values"]
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)):
+            raise DensityConfigError("grid values must be a list of rows of one length")
+        values = np.array([[_parse_number(v, "grid value") for v in row] for row in rows])
+        grid = GridLayer(origin.real, origin.imag, _parse_number(gobj["spacing"], "grid spacing"),
+                         values)
+    return make_density(center, radius, terms, grid)
 
 
 def load_density_file(path: str) -> DensitySpec:

@@ -60,7 +60,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .density import DensitySpec, clear_radius, eval_density, sector_values
-from .geometry import INSIDE, OUTSIDE, STRADDLE, Annulus, Disk, Rectangle
+from .geometry import INSIDE, OUTSIDE, STRADDLE, Disk
 
 __all__ = [
     "QuadratureResult", "DiagonalMass", "InvalidPointError", "ToleranceError",
@@ -716,44 +716,23 @@ def cauchy_transform(g: DensitySpec, lam: complex, tol: float, multiplier=None,
                             res.cells, res.evaluations)
 
 
-def _circles(g: DensitySpec):
-    """(center, radius, jump) of every circle on which g can jump; the jump is
-    g inside minus g outside (the support circle carries none)."""
-    yield g.support_center, g.support_radius, 0.0
-    for region, coeff in g.terms:
-        if isinstance(region, Disk):
-            yield complex(region.cx, region.cy), region.r, coeff
-        elif isinstance(region, Annulus):
-            yield complex(region.cx, region.cy), region.r_inner, -coeff
-            yield complex(region.cx, region.cy), region.r_outer, coeff
-
-
-def _lattices(g: DensitySpec):
-    """(xs, ys, vjump, hjump) of each rectangle (one cell of its coefficient)
-    and the grid: vjump[j, k] is g left minus right of line xs[k] between
-    ys[j] and ys[j + 1], hjump[k, i] g below minus above line ys[k] between
-    xs[i] and xs[i + 1]."""
-    cells = [((region.x0, region.x1), (region.y0, region.y1), np.array([[coeff]]))
-             for region, coeff in g.terms if isinstance(region, Rectangle)]
-    grid = g.grid
-    if grid is not None:
-        cells.append(([grid.origin_x + k * grid.spacing for k in range(grid.nx + 1)],
-                      [grid.origin_y + k * grid.spacing for k in range(grid.ny + 1)],
-                      grid.values))
-    for xs, ys, values in cells:
-        v = np.pad(values, 1)
-        yield xs, ys, v[1:-1, :-1] - v[1:-1, 1:], v[:-1, 1:-1] - v[1:, 1:-1]
-
-
 def _jumps(g: DensitySpec):
-    """The curves where g jumps, end to end by arc length: arrays (start, length,
-    jump, origin, radius, direction).  A circle (radius > 0) runs counterclockwise
-    from origin + radius, a segment from origin along direction; the jump is g
-    left of the path minus g right of it.  Curves with no jump are left out."""
-    o, r, c = np.array([t for t in _circles(g) if t[2] != 0.0], dtype=complex).reshape(-1, 3).T
-    parts = [(o, r.real, c.real, np.zeros(o.size, dtype=complex), 2.0 * math.pi * r.real)]
-    for xs, ys, vjump, hjump in _lattices(g):
-        xs, ys = np.asarray(xs), np.asarray(ys)
+    """The curves where g jumps (DensitySpec.curves), end to end by arc length:
+    arrays (start, length, jump, origin, radius, direction).  A circle
+    (radius > 0) runs counterclockwise from origin + radius, a segment from
+    origin along direction; the jump is g left of the path minus g right of
+    it.  Curves with no jump are left out, the support circle among them.
+    A lattice's lines run upwards and leftwards between its vertices, so a
+    line jumps by the cell left of it (or below) minus the cell right of it
+    (or above), 0 outside the lattice."""
+    circles, lattices = g.curves
+    c = circles[circles[:, 3] != 0.0]
+    o = np.empty(len(c), dtype=complex)
+    o.real, o.imag = c[:, 0], c[:, 1]
+    parts = [(o, c[:, 2], c[:, 3], np.zeros(o.size, dtype=complex), 2.0 * math.pi * c[:, 2])]
+    for xs, ys, values in lattices:
+        v = np.pad(values, 1)
+        vjump, hjump = v[1:-1, :-1] - v[1:-1, 1:], v[:-1, 1:-1] - v[1:, 1:-1]
         j, k = np.nonzero(vjump)  # upwards along xs[k]
         parts.append((xs[k] + 1j * ys[j], np.zeros(k.size), vjump[j, k],
                       np.full(k.size, 1j), ys[j + 1] - ys[j]))
@@ -881,18 +860,22 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
     exact radial columns.
 
     A column stops being smooth in the angle where a ray from c is tangent
-    to a circle of g, passes through a corner of a rectangle or a grid
-    vertex, or meets a circle, an edge or a grid line exactly at radius r_lo
-    or r_hi.  The angular rule breaks there: otherwise both of its levels can
-    miss a thin sliver of a kink and agree on the miss.  Each column's
-    rounding bound enters the error as the rule's node error.
+    to a circle of DensitySpec.curves or to the support circle, passes
+    through a vertex of a lattice, or meets a circle or a lattice line
+    exactly at radius r_lo or r_hi.  The angular rule breaks there:
+    otherwise both of its levels can miss a thin sliver of a kink and agree
+    on the miss.  Each column's rounding bound enters the error as the
+    rule's node error.
     """
     cx, cy = c.real, c.imag
     tau = 2.0 * math.pi
     breaks = {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi}
-    for o, radius, _ in _circles(g):
+    circles, lattices = g.curves
+    support = (g.support_center.real, g.support_center.imag, g.support_radius)
+    for ox, oy, radius in [support, *circles[:, :3].tolist()]:
+        o = complex(ox, oy)
         d = abs(o - c)
-        if radius <= 0.0 or d == 0.0:
+        if d == 0.0:
             continue
         phi = math.atan2(o.imag - cy, o.real - cx)
         halves = [math.asin(radius / d)] if radius <= d else []
@@ -904,9 +887,10 @@ def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
         for a in halves:
             breaks.update(((phi + a) % tau, (phi - a) % tau))
 
-    for xs, ys, _, _ in _lattices(g):
-        # corners and grid vertices in the annulus, and the points where
-        # edges and grid lines meet its circles
+    for xs, ys, _ in lattices:
+        # lattice vertices in the annulus, and the points where lattice
+        # lines meet its circles
+        xs, ys = xs.tolist(), ys.tolist()
         pts = [(x, y) for x in xs for y in ys
                if r_lo <= (d := math.hypot(x - cx, y - cy)) <= r_hi and d > 0.0]
         for rho in (r_lo, r_hi):

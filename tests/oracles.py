@@ -3,8 +3,9 @@
 The midpoint rules are slow, simple, and share no code with the library's
 quadrature, so agreement is evidence rather than tautology.  The scalar
 radial and angular rules below are the one-ray, one-interval-at-a-time
-loops the library's array passes replace, kept as their reference, and the
-dense range sampler is the independent check of exact density validation.
+loops the library's array passes replace, kept as their reference, the
+dense range sampler is the independent check of exact density validation,
+and the ring sampler that of the values g takes around a point.
 """
 
 import math
@@ -319,3 +320,10 @@ def range_violation(g, n=256, band=64, seed=1):
     vals = eval_density(g, pts)
     bad = np.flatnonzero((vals < -1e-12) | (vals > 1.0 + 1e-12))
     return (complex(pts[bad[0]]), float(vals[bad[0]])) if bad.size else None
+
+
+def ring_values(g, w, rho, n):
+    """The set of values g takes at n points spaced evenly on the circle of
+    radius rho around w, half a step off the direction 0."""
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    return set(eval_density(g, complex(w) + rho * np.exp(1j * theta)).tolist())

@@ -122,6 +122,17 @@ def test_exit_code_config_malformed_json(tmp_path):
     assert r.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("radius", ["abc", [1], None, True])
+def test_exit_code_config_non_numeric_field(tmp_path, radius):
+    # a usage error (2), not a traceback and exit 1, which reads as a failed check
+    path = tmp_path / "disc.json"
+    path.write_text(json.dumps({"support_center": [0, 0], "support_radius": 1, "terms": [
+        {"shape": {"kind": "disk", "center": [0, 0], "radius": radius}, "coeff": 1}]}))
+    r = run_cli("eval", str(path), "--lam", "0,0", "--w", "1,0")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "must be a number" in r.stderr
+
+
 def test_exit_code_config_missing_file():
     r = run_cli("eval", "/no/such/density.json", "--lam", "0,0", "--w", "1,0")
     assert r.returncode == 2

@@ -3,17 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expkernel import density, suites
 from expkernel.density import (DensityConfigError, GridLayer, Mcg64,
                                annulus_density, clear_radius, disc_density,
                                eval_density, jump_arrangement, load_density_file,
-                               make_density, parse_density_config, swiss_cheese,
-                               unit_disc_density)
+                               make_density, parse_density_config, sector_values,
+                               swiss_cheese, unit_disc_density)
 from expkernel.geometry import Annulus, Disk, Rectangle
-from oracles import range_violation
+from oracles import range_violation, ring_values
 
 
 def test_mcg64_reference_stream():
@@ -127,6 +127,40 @@ def test_validation_counts_grid_lines_only_under_regions(monkeypatch):
         make_density(0j, 1.0, [(Rectangle(0.01, 0.01, 0.2, 0.2), 0.6)], grid)
 
 
+def test_grid_validation_rays_grow_with_the_straddled_cells(monkeypatch):
+    # a grid cell that no region curve crosses is sampled at its centre, so
+    # the rays of the face samples grow with the n cells the circle crosses,
+    # not with all n^2 cells under the disc
+    rays = []
+    first_crossing = density.JumpArrangement._first_crossing
+
+    def counted(self, p, n):
+        rays.append(p.size)
+        return first_crossing(self, p, n)
+
+    monkeypatch.setattr(density.JumpArrangement, "_first_crossing", counted)
+    counts = []
+    for n in (64, 256):
+        rays.clear()
+        grid = GridLayer(-0.75, -0.75, 1.5 / n, np.full((n, n), 0.25))
+        make_density(0j, 1.1, [(Disk(0.0, 0.0, 0.7), 0.5)], grid)
+        counts.append(sum(rays))
+    assert 0 < counts[1] <= 6 * counts[0]
+
+
+def test_validate_grid_cells_no_curve_crosses():
+    # a cell inside the disc is checked at its centre; the face between the
+    # grid and the disc's circle by the samples of the circle
+    values = np.full((16, 16), 0.4)
+    make_density(0j, 1.0, [(Disk(0.0, 0.0, 0.9), 0.5)], GridLayer(-0.5, -0.5, 1 / 16, values))
+    values[8, 8] = 0.6
+    with pytest.raises(DensityConfigError, match="out of range"):
+        make_density(0j, 1.0, [(Disk(0.0, 0.0, 0.9), 0.5)], GridLayer(-0.5, -0.5, 1 / 16, values))
+    full = GridLayer(-0.5, -0.5, 1 / 16, np.full((16, 16), 0.5))
+    with pytest.raises(DensityConfigError, match="out of range"):
+        make_density(0j, 1.0, [(Disk(0.0, 0.0, 0.95), -0.5)], full)
+
+
 def test_validate_rectangle_edge_on_grid_line():
     # the rectangle's left edge lies on the grid line x = 0, its top and
     # bottom on y = +-0.25; where it touches the grid only along x = 0.5,
@@ -215,6 +249,68 @@ def test_dense_sampler_finds_no_violation_in_accepted_specs(terms, grid):
     assert range_violation(g) is None
 
 
+def _on_a_curve(g, data):
+    """A point drawn on a circle of g, or at a vertex or on a line of one of
+    its lattices."""
+    circles, lattices = g.curves
+    k = data.draw(st.integers(0, len(circles) + len(lattices) - 1))
+    t = data.draw(st.floats(0.0, 1.0))
+    if k < len(circles):
+        cx, cy, r, _ = circles[k]
+        return complex(cx + r * math.cos(2.0 * math.pi * t), cy + r * math.sin(2.0 * math.pi * t))
+    xs, ys, _ = lattices[k - len(circles)]
+    i, j = data.draw(st.integers(0, len(xs) - 2)), data.draw(st.integers(0, len(ys) - 2))
+    where = data.draw(st.sampled_from(["vertex", "vertical", "horizontal"]))
+    x = xs[i] + t * (xs[i + 1] - xs[i]) if where == "horizontal" else xs[i]
+    y = ys[j] + t * (ys[j + 1] - ys[j]) if where == "vertical" else ys[j]
+    return complex(x, y)
+
+
+@given(terms=st.lists(st.tuples(_region, _coeff), min_size=1, max_size=4), grid=_grid,
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sector_values_are_the_values_on_a_small_ring(terms, grid, data):
+    try:
+        g = make_density(0j, 1.0, terms, grid)
+    except DensityConfigError:
+        assume(False)
+    w = _on_a_curve(g, data)
+    arrangement = g.arrangement
+    eta, rho = arrangement.eta, 1e-7
+    # every curve passes through w or keeps well clear of the ring
+    near = np.append(arrangement.distances(w)[0], abs(abs(w) - 1.0))
+    assume(np.all((near <= eta) | (near >= 1e-4)))
+    # no horn and no sector narrower than a few ring steps: the tangents at
+    # w of distinct curves through it differ by at least 0.01 (mod pi), and
+    # the circles through w are much wider than the ring
+    circles = np.vstack((arrangement.circles, (0.0, 0.0, 1.0)))
+    through = circles[np.abs(np.abs(w - circles[:, 0] - 1j * circles[:, 1]) - circles[:, 2])
+                      <= eta]
+    assume(np.all(through[:, 2] >= 1e-4))
+    tangents = {float(np.angle(w - c - 1j * d) + 0.5 * math.pi) % math.pi for c, d, _ in through}
+    for axis, cs, lo, hi in arrangement.combs:
+        a, b = (w.real, w.imag) if axis == 0 else (w.imag, w.real)
+        if np.abs(cs - a).min() <= eta and lo - eta <= b <= hi + eta:
+            tangents.add(0.5 * math.pi if axis == 0 else 0.0)
+    ordered = sorted(tangents)
+    gaps = np.diff(ordered + [ordered[0] + math.pi])
+    assume(np.all(gaps >= 0.01))
+    sectors = set(sector_values(g, w).tolist())
+    ring = ring_values(g, w, rho, 4096)
+    # the sectors sum g's jumps exactly, the ring in term order
+    assert all(min(abs(a - b) for b in ring) <= 1e-12 for a in sectors), (w, sectors, ring)
+    assert all(min(abs(a - b) for a in sectors) <= 1e-12 for b in ring), (w, sectors, ring)
+
+
+def test_sector_values_sum_the_jumps_exactly():
+    # the annulus's rows -0.3 and +0.3 fall between the disc's 0.1 and the
+    # hole's -0.1; summed in row order they would leave 2.8e-17, which
+    # reads as g > 0 and a divergent diagonal
+    g = make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 0.1), (Annulus(0.0, 0.0, 0.5, 0.8), 0.3),
+                               (Disk(0.0, 0.0, 0.2), -0.1), (Disk(0.05, 0.0, 0.1), 0.0)])
+    assert sector_values(g, 0.15 + 0j).tolist() == [0.0, 0.0]
+
+
 def test_validate_rejects_region_outside_support():
     with pytest.raises(DensityConfigError):
         make_density(0j, 1.0, [(Disk(0.8, 0.0, 0.5), 1.0)])
@@ -291,6 +387,9 @@ def test_parse_density_config_rectangle():
     {"terms": [{"shape": {"kind": "disk", "center": [0, 0], "radius": 1}}]},
     {"terms": [{"shape": {"kind": "disk", "center": [0, 0], "radius": 1},
                 "coeff": 1, "label": "x"}]},
+    {"support_radius": 10 ** 400},
+    {"grid": {"origin": [-0.5, -0.5], "spacing": 0.5, "values": [[0.25, 0.25], [0.25]]}},
+    {"grid": {"origin": [-0.5, -0.5], "spacing": 0.5, "values": [0.25, 0.25]}},
 ])
 def test_parse_density_config_rejects_bad_input(mutation):
     cfg = {"support_center": [0.0, 0.0], "support_radius": 1.0,
@@ -299,6 +398,46 @@ def test_parse_density_config_rejects_bad_input(mutation):
     cfg.update(mutation)
     with pytest.raises(DensityConfigError):
         parse_density_config(cfg)
+
+
+_DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 0.5}
+_ANNULUS = {"kind": "annulus", "center": [0.0, 0.0], "r_inner": 0.2, "r_outer": 0.5}
+
+
+def _config_with(field, value):
+    """A valid config with one numeric field replaced by value."""
+    shape = dict(_ANNULUS if field in ("r_inner", "r_outer") else _DISK)
+    term = {"shape": shape, "coeff": 0.5}
+    cfg = {"support_center": [0.0, 0.0], "support_radius": 1.0, "terms": [term],
+           "grid": {"origin": [-0.5, -0.5], "spacing": 0.5, "values": [[0.25, 0.25]] * 2}}
+    if field in ("radius", "r_inner", "r_outer"):
+        shape[field] = value
+    elif field == "coeff":
+        term["coeff"] = value
+    elif field in ("spacing", "values"):
+        cfg["grid"][field] = [[value, 0.25]] * 2 if field == "values" else value
+    elif field == "support_center":
+        cfg["support_center"] = [value, 0.0]
+    else:
+        cfg[field] = value
+    return cfg
+
+
+_NUMBERS = {"radius": 0.5, "r_inner": 0.2, "r_outer": 0.5, "coeff": 0.5, "spacing": 0.5,
+            "values": 0.25, "support_radius": 1, "support_center": 0}
+
+
+@pytest.mark.parametrize("field", _NUMBERS)
+def test_parse_density_config_takes_numbers(field):
+    parse_density_config(_config_with(field, _NUMBERS[field]))
+
+
+@pytest.mark.parametrize("value", ["abc", [1], None, "0.5", True],
+                         ids=["str", "list", "null", "numeric-str", "bool"])
+@pytest.mark.parametrize("field", _NUMBERS)
+def test_parse_density_config_rejects_non_numbers(field, value):
+    with pytest.raises(DensityConfigError, match="must be a number"):
+        parse_density_config(_config_with(field, value))
 
 
 def test_load_density_file(tmp_path):
