@@ -38,16 +38,16 @@ bounded multiplier and g is a DensitySpec.  Strategy:
   bit-identical for identical inputs on one numpy build and CPU.
 
 Whether the diagonal integral diverges is read exactly from the faces of the
-jump arrangement of g around w.  A finite diagonal and the disc mass use
-exact radial columns under an adaptive angular rule, broken wherever a
-column has a kink.
+jump arrangement of g around w.  A finite diagonal, the disc mass and the
+inverse-square integral over an annulus run along the jumps of g too, as
+the boundary rule at their centre with a clamped radial potential.
 
-The 1-D rules run level by level: each pass of the angular rule sends the
-nodes of all its open intervals to the column function at once, and a
-column function works on whole arrays of rays, one crossing matrix, one
-density evaluation and one multiplier call per pass (in chunks of rays that
-bound its memory); the radial panels of all rays bisect level by level too.
-Sums over intervals, panels and Gauss nodes run in a fixed order.
+The 1-D rules run level by level: each pass of the adaptive rule sends the
+nodes of all its open intervals to the node function at once.  In a polar
+patch the node function works on whole arrays of rays, one crossing matrix,
+one density evaluation and one multiplier call per pass (in chunks of rays
+that bound its memory); the radial panels of all rays bisect level by level
+too.  Sums over intervals, panels and Gauss nodes run in a fixed order.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .density import DensitySpec, clear_radius, eval_density, sector_values
+from .density import _HORN, DensitySpec, clear_radius, eval_density, sector_values
 from .geometry import INSIDE, OUTSIDE, STRADDLE, Disk
 
 __all__ = [
@@ -119,9 +119,9 @@ class DiagonalMass:
 
     ``divergent`` follows the dichotomy: True when g > 0 on a sector at w of
     positive opening, decided exactly from the jump arrangement of g; then
-    ``value`` is inf and ``error_estimate`` and ``octaves`` are 0.  False
-    when the integral is finite: ``value`` is its sum over the ``octaves``
-    geometric annuli taken, with the summed error estimate.
+    ``value`` is inf and ``error_estimate`` is 0.  False when the integral
+    is finite: ``value`` is its sum along the jumps of g, with its error
+    estimate.  ``octaves`` is always 0: no geometric annuli are summed.
     """
 
     divergent: bool
@@ -147,11 +147,9 @@ Factor = tuple[str, complex]
 # Quadtree depth limit, and the depth of the initial uniform cover.
 _MAX_DEPTH = 26
 _INIT_DEPTH = 2
-# Octaves of integrate_diagonal's finite route at most.
-_MAX_OCTAVES = 1000
-# Rounding bound of an exact radial column, per unit of its operands' size.
+# Rounding bound of a boundary-rule node, per unit of its operands' size.
 _ROUNDING = 4.0 * math.ulp(1.0)
-# Bisection depth limits of the angular rule and of a radial column.
+# Bisection depth limits of the adaptive 1-D rule and of a radial column.
 _MAX_DEPTH_1D = 24
 _MAX_DEPTH_GL = 10
 # Rays times crossing columns per pass of a column function (memory bound).
@@ -159,6 +157,9 @@ _CHUNK = 1 << 16
 # The boundary rule breaks a curve at a point's nearest point when the
 # point lies within this fraction of the curve's length of it.
 _NEAR = 0.125
+# The least radius excised about a horn, per unit of the length of g's
+# jumps: the adaptive rule shares tol in proportion to interval length.
+_HORN_FLOOR = 1e-8
 
 
 def _factor_values(pts: np.ndarray, factors: tuple[Factor, ...], multiplier) -> np.ndarray:
@@ -208,8 +209,8 @@ def _crossings(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.ndar
 
 
 def _ray_segments(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.ndarray,
-                  r_lo: float, r_hi, extra: tuple[float, ...] = ()):
-    """Segments of [r_lo, r_hi] (r_hi scalar or per ray) on which g is constant
+                  r_hi, extra: tuple[float, ...] = ()):
+    """Segments of [0, r_hi] (r_hi scalar or per ray) on which g is constant
     along each ray, as arrays (ray, a, b, g value), ray by ray from the inside
     out.  Segments where g vanishes are dropped.
 
@@ -218,9 +219,9 @@ def _ray_segments(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.n
     """
     hi = np.broadcast_to(np.asarray(r_hi, dtype=float), ct.shape)
     t = _crossings(g, sx, sy, ct, st, extra)
-    t = np.sort(np.where((t > r_lo) & (t < hi[:, None]), t, np.nan), axis=1)
+    t = np.sort(np.where((t > 0.0) & (t < hi[:, None]), t, np.nan), axis=1)
     t = t[:, :np.max(np.count_nonzero(t == t, axis=1), initial=0)]
-    last = np.full(ct.shape, float(r_lo))
+    last = np.zeros(ct.shape)
     ends = []
     for b in (*t.T, hi):
         keep = b - last > 1e-15 * np.maximum(np.abs(b), np.abs(last))
@@ -235,30 +236,6 @@ def _ray_segments(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.n
     return ray[live], a[live], b[live], gv[live]
 
 
-def _column_exact(g: DensitySpec, sx: float, sy: float, ct: np.ndarray, st: np.ndarray,
-                  r_lo: float, r_hi: float, weight: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per ray, the exact radial integral of g times r ('mass') or 1/r
-    ('invsq'), and a bound on its rounding error.
-
-    Each segment's term rounds in proportion to the size of its operands,
-    not of the term: b*b - a*a cancels when a is near b, and log(b/a) keeps
-    an absolute error of one ulp of b/a.  Segments are summed ray by ray
-    from the inside out.
-    """
-    ray, a, b, gv = _ray_segments(g, sx, sy, ct, st, r_lo, r_hi)
-    if weight == "mass":
-        term = gv * 0.5 * (b * b - a * a)
-        size = np.abs(gv) * 0.5 * (b * b + a * a)
-    else:
-        term = gv * np.log(b / a)
-        size = np.abs(gv) + np.abs(term)
-    total = np.zeros(ct.size)
-    bound = np.zeros(ct.size)
-    np.add.at(total, ray, term)
-    np.add.at(bound, ray, size)
-    return total, _ROUNDING * bound
-
-
 def _column_gl(g: DensitySpec, s: complex, ct: np.ndarray, st: np.ndarray, r_hi: np.ndarray,
                fvec, seg_tol: float, extra: tuple[float, ...]):
     """Per ray from s, the adaptive radial integral of fvec * g, split at g's
@@ -268,7 +245,7 @@ def _column_gl(g: DensitySpec, s: complex, ct: np.ndarray, st: np.ndarray, r_hi:
     panels of all rays are bisected level by level; each ray sums its
     finished panels from the inside out.
     """
-    ray, a, b, gv = _ray_segments(g, s.real, s.imag, ct, st, 0.0, r_hi, extra)
+    ray, a, b, gv = _ray_segments(g, s.real, s.imag, ct, st, r_hi, extra)
     total = np.zeros(ct.size, dtype=complex)
     err = np.zeros(ct.size)
     evals = np.zeros(ct.size, dtype=np.int64)
@@ -297,19 +274,6 @@ def _column_gl(g: DensitySpec, s: complex, ct: np.ndarray, st: np.ndarray, r_hi:
     np.add.at(total, ray[k[order]], v[order])
     np.add.at(err, ray[k[order]], e[order])
     return total, err, evals
-
-
-def _chunked(column, g: DensitySpec, s: complex, extra: tuple[float, ...] = ()):
-    """column over rays from s, in chunks of at most _CHUNK elements of the
-    crossing matrix, results joined: bounds the memory of one pass."""
-    width = _crossings(g, s.real, s.imag, np.zeros(0), np.zeros(0), extra).shape[1]
-    step = max(1, _CHUNK // width)
-
-    def f(theta):
-        parts = [column(theta[i:i + step]) for i in range(0, theta.size, step)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
-    return f
 
 
 def _adaptive_1d(f, breaks: list[float], tol: float):
@@ -408,7 +372,15 @@ def _polar_patch(g: DensitySpec, s: complex, cancel: str | None,
         rmax = _block_exit_radius(sx, sy, ct, st, block)
         return _column_gl(g, s, ct, st, rmax, fvec, seg_tol / n_cols_budget, extra_radii)
 
-    v, e, n = _adaptive_1d(_chunked(column, g, s, extra_radii), breaks, tol)
+    # Rays in chunks of at most _CHUNK elements of the crossing matrix, the
+    # results joined: bounds the memory of one pass.
+    step = max(1, _CHUNK // _crossings(g, sx, sy, np.zeros(0), np.zeros(0), extra_radii).shape[1])
+
+    def chunked(theta):
+        parts = [column(theta[i:i + step]) for i in range(0, theta.size, step)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    v, e, n = _adaptive_1d(chunked, breaks, tol)
     return complex(v[0]), float(e[0]), n
 
 
@@ -743,6 +715,32 @@ def _jumps(g: DensitySpec):
     return np.concatenate(([0.0], np.cumsum(length))), length, jump, origin, radius, direction
 
 
+def _graded_breaks(jumps, pts: np.ndarray):
+    """(t, breaks): per point of pts (rows) and curve of _jumps (columns)
+    the arc position t of the curve's point nearest to it; and the sorted
+    breaks of a boundary rule: the curves' ends and, on each curve within
+    _NEAR of its length of a point, breaks 4^k times their distance d to
+    either side of t.
+
+    A first-pass interval much longer than its distance to a point could
+    miss the peak there in both rules.  d is at least 1e-12 of the curve
+    and 1024 ulps of the arc positions: no node rounds onto a point (0/0).
+    """
+    start, length, jump, origin, radius, direction = jumps
+    rel = pts[:, None] - origin
+    t = np.where(radius > 0.0, radius * (np.angle(rel) % (2.0 * math.pi)),
+                 np.clip((rel * np.conj(direction)).real, 0.0, length))
+    dist = np.where(radius > 0.0, np.abs(np.abs(rel) - radius), np.abs(rel - t * direction))
+    floor = np.maximum(1e-12 * length, 1024.0 * math.ulp(start[-1]))
+    p, k = np.nonzero(dist <= _NEAR * length)
+    grades = np.append(0.0, 4.0 ** np.arange(21))
+    d = np.maximum(dist[p, k], floor[k])[:, None] * grades
+    ln = length[k, None]
+    at = t[p, k, None] + np.concatenate((d, -d), axis=1)
+    at = np.where(radius[k, None] > 0.0, at % ln, np.clip(at, 0.0, ln))
+    return t, np.sort(np.concatenate((start, (start[k, None] + at)[np.tile(d < ln, 2)])))
+
+
 def _boundary_rule(g: DensitySpec, lams, tol: float, points, potential):
     """V(lam) = (1/pi) * integral g(u) dN/dconj(u) / (u - lam) da(u) for each
     lam of an array, along the jumps of g: arrays (values, error estimates,
@@ -766,12 +764,11 @@ def _boundary_rule(g: DensitySpec, lams, tol: float, points, potential):
     points = np.asarray(points, dtype=complex)
     if np.isin(lams, points).any():
         raise InvalidPointError("lam = w: use integrate_diagonal")
-    start, length, jump, origin, radius, direction = _jumps(g)
+    start, length, jump, origin, radius, direction = jumps = _jumps(g)
     values, errors, evals = (np.zeros(lams.size, dtype=t) for t in (complex, float, np.int64))
     # Columns per chunk: about _CHUNK elements in the first pass, over the
     # curves and about sixteen graded intervals per lam, shared by all columns.
     step = max(1, int(math.sqrt(_CHUNK / 352 + (length.size / 32) ** 2) - length.size / 32))
-    floor = np.maximum(1e-12 * length, 1024.0 * math.ulp(start[-1]))
     for lo in range(0, lams.size if length.size else 0, step):
         lam = lams[lo:lo + step]
 
@@ -789,25 +786,7 @@ def _boundary_rule(g: DensitySpec, lams, tol: float, points, potential):
             size = size + np.abs(num) * (np.abs(u)[:, None] + np.abs(lam)) / dist
             return du[:, None] * (num / diff), _ROUNDING * np.abs(du)[:, None] * size / dist, x.size
 
-        # Each curve's points nearest to the points and to the lams, at arc
-        # position t, and breaks 4^k times their distance d to either side: a
-        # first-pass interval much longer than its distance to a point could
-        # miss the peak there in both rules.  d is at least 1e-12 of the curve
-        # and 1024 ulps of the arc positions: no node rounds onto lam (0/0).
-        rel = np.concatenate((points, lam))[:, None] - origin
-        t = np.where(radius > 0.0, radius * (np.angle(rel) % (2.0 * math.pi)),
-                     np.clip((rel * np.conj(direction)).real, 0.0, length))
-        dist = np.where(radius > 0.0, np.abs(np.abs(rel) - radius), np.abs(rel - t * direction))
-        p, k = np.nonzero(dist <= _NEAR * length)
-        grades = np.append(0.0, 4.0 ** np.arange(21))
-        d = np.maximum(dist[p, k], floor[k])[:, None] * grades
-        ln = length[k, None]
-        at = t[p, k, None] + np.concatenate((d, -d), axis=1)
-        at = np.where(radius[k, None] > 0.0, at % ln, np.clip(at, 0.0, ln))
-        # Sorted and deduplicated by hand: np.unique imports numpy.ma on its
-        # first call, some 20 ms inside the first evaluation of a process.
-        breaks = np.sort(np.concatenate((start, (start[k, None] + at)[np.tile(d < ln, 2)])))
-        breaks = breaks[np.append(True, breaks[1:] != breaks[:-1])]
+        _, breaks = _graded_breaks(jumps, np.concatenate((points, lam)))
         values[lo:lo + step], errors[lo:lo + step], evals[lo:lo + step] = _adaptive_1d(
             f, breaks, tol / math.pi)
     bad = np.flatnonzero(~(math.pi * errors <= tol * (1.0 + 1e-9)))
@@ -846,66 +825,104 @@ def boundary_cauchy_transform(g: DensitySpec, lams, tol: float):
         np.conj(u)[:, None] - np.conj(lam), (2.0 * np.abs(u))[:, None] + np.abs(lam)))
 
 
-def _meets(off: float, rho: float):
-    """Offsets along a line at distance off from a centre to its points at
-    distance rho > 0 from the centre."""
-    h = rho * rho - off * off
-    return (-math.sqrt(h), math.sqrt(h)) if rho > 0.0 and h >= 0.0 else ()
+def _radial_rule(g: DensitySpec, c: complex, r_lo: float, r_hi: float, F,
+                 tol: float, excised: float = 0.0) -> tuple[float, float]:
+    """(value, error estimate) of (1/pi) * integral g(u) F'(|u-c|^2) da(u)
+    over r_lo <= |u-c| <= r_hi, by the boundary rule at lam = c with
+    N(u) = F(clip(|u-c|^2, r_lo^2, r_hi^2)) - F(r_lo^2): dN/dconj(u) / (u-c)
+    is F'(|u-c|^2) on the annulus and 0 off it, and N / (u-c) is continuous
+    at c, so no residue is left.  u - c is taken from each curve's point p
+    nearest c, keeping its relative precision, and the curves break at the
+    kinks of N.  ``excised`` bounds a part left out: it joins the estimate,
+    and the rule aims no finer than it.  An estimate above tol, or nan,
+    raises TolNotReached."""
+    start, length, jump, origin, radius, direction = jumps = _jumps(g)
+    if not length.size:
+        return 0.0, 0.0
+    circle = radius > 0.0
+    rel = c - origin
+    along = rel * np.conj(direction)
+    # The circles |u-c| = rho meet a circle at the half-angle
+    # 2 asin(sqrt((rho^2 - (|rel| - radius)^2) / (4 |rel| radius))) about p,
+    # and a segment at sqrt(rho^2 - across^2) to either side of c's foot.
+    rho = np.array([r for r in (r_lo, r_hi) if 0.0 < r < math.inf])[:, None]
+    across = np.where(circle, np.abs(np.abs(rel) - radius), np.abs(along.imag))
+    (t,), breaks = _graded_breaks(jumps, np.array([c]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.sqrt((rho - across) * (rho + across))
+        reach = np.where(circle, 2.0 * radius * np.arcsin(
+            reach / (2.0 * np.sqrt(np.abs(rel) * radius))), reach)
+        at = np.concatenate((reach, -reach)) + np.where(circle, t, along.real)
+        at = np.where(circle, at % length, at)
+    breaks = np.sort(np.concatenate((breaks, (start[:-1] + at)[(at > 0.0) & (at < length)])))
+    # p = origin + radius e^(i phi) on a circle, where u - p is
+    # 2i radius e^(i (theta + phi) / 2) sin((theta - phi) / 2).
+    phi = t / np.where(circle, radius, 1.0)
+    pc = np.where(circle, (radius - np.abs(rel)) * np.exp(1j * phi), t * direction - rel)
+    f_lo = F(r_lo * r_lo)
+
+    def f(x):
+        k = np.searchsorted(start, x, side="right") - 1
+        s = x - start[k]
+        on = circle[k]
+        r = np.where(on, radius[k], np.inf)
+        e = np.exp(1j * s / r)
+        du = np.where(on, 1j * e, direction[k]) * (-0.5j / math.pi) * jump[k]
+        half = 0.5 * (s - t[k]) / r
+        d = pc[k] + np.where(on, 2j * radius[k] * np.exp(1j * (phi[k] + half)) * np.sin(half),
+                             (s - t[k]) * direction[k])
+        q = d.real * d.real + d.imag * d.imag
+        fq = F(np.clip(q, r_lo * r_lo, r_hi * r_hi))
+        n = fq - f_lo
+        # Rounding: d keeps a few ulps relative, so F keeps a few ulps of
+        # 1 + |F| (log or identity), and the quotient a few of n.
+        size = 4.0 + 4.0 * np.abs(fq) + abs(f_lo) + np.abs(n)
+        return du * (n / d), _ROUNDING * np.abs(du) * size / np.sqrt(q), x.size
+
+    v, e, evals = _adaptive_1d(f, breaks, max(tol - excised, excised))
+    v, e = float(v[0].real), float(e[0]) + excised
+    if not e <= tol * (1.0 + 1e-9):
+        raise TolNotReached(f"error estimate {e:.3e} ({excised:.3e} excised) above "
+                            f"tolerance {tol:.3e} about {c} after {evals} evaluations", v, e)
+    return v, e
 
 
-def _radial_exact(g: DensitySpec, c: complex, r_lo: float, r_hi: float,
-                  weight: str, tol: float) -> tuple[float, float]:
-    """(value, error) of the integral of g times r^-2 ('invsq') or 1 ('mass')
-    over the annulus r_lo <= |u-c| <= r_hi, as an adaptive angular rule over
-    exact radial columns.
-
-    A column stops being smooth in the angle where a ray from c is tangent
-    to a circle of DensitySpec.curves or to the support circle, passes
-    through a vertex of a lattice, or meets a circle or a lattice line
-    exactly at radius r_lo or r_hi.  The angular rule breaks there:
-    otherwise both of its levels can miss a thin sliver of a kink and agree
-    on the miss.  Each column's rounding bound enters the error as the
-    rule's node error.
+def _horn(g: DensitySpec, w: complex, tol: float) -> tuple[float, float]:
+    """(eps, bound) where g lives next to w only on horns between curves
+    tangent there: bound bounds (1/pi) * the integral of g |u-w|^-2 over
+    |u-w| < eps.  At distance rho from w a circle of radius r through w lies
+    asin(rho / 2r) off its tangent, a line 0, so as 0 <= g <= 1 two tangent
+    curves of curvatures k, k' (signed to one side) add |k - k'| eps / (pi
+    cos) to it, cos = sqrt(1 - (eps / 2r)^2) for the least r.  eps brings
+    the bound near tol / 2, but stays above _HORN_FLOOR of the jumps' length
+    and within half the distance to any curve or crossing off w.
     """
-    cx, cy = c.real, c.imag
-    tau = 2.0 * math.pi
-    breaks = {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi}
-    circles, lattices = g.curves
-    support = (g.support_center.real, g.support_center.imag, g.support_radius)
-    for ox, oy, radius in [support, *circles[:, :3].tolist()]:
-        o = complex(ox, oy)
-        d = abs(o - c)
-        if d == 0.0:
-            continue
-        phi = math.atan2(o.imag - cy, o.real - cx)
-        halves = [math.asin(radius / d)] if radius <= d else []
-        for rho in (r_lo, r_hi):
-            if rho > 0.0:
-                cos_a = (rho * rho + d * d - radius * radius) / (2.0 * rho * d)
-                if abs(cos_a) <= 1.0:
-                    halves.append(math.acos(cos_a))
-        for a in halves:
-            breaks.update(((phi + a) % tau, (phi - a) % tau))
-
-    for xs, ys, _ in lattices:
-        # lattice vertices in the annulus, and the points where lattice
-        # lines meet its circles
-        xs, ys = xs.tolist(), ys.tolist()
-        pts = [(x, y) for x in xs for y in ys
-               if r_lo <= (d := math.hypot(x - cx, y - cy)) <= r_hi and d > 0.0]
-        for rho in (r_lo, r_hi):
-            pts += [(x, cy + t) for x in xs for t in _meets(x - cx, rho)
-                    if ys[0] <= cy + t <= ys[-1]]
-            pts += [(cx + t, y) for y in ys for t in _meets(y - cy, rho)
-                    if xs[0] <= cx + t <= xs[-1]]
-        breaks.update(math.atan2(y - cy, x - cx) % tau for x, y in pts)
-
-    def column(theta):
-        v, e = _column_exact(g, cx, cy, np.cos(theta), np.sin(theta), r_lo, r_hi, weight)
-        return v, e, np.ones(theta.size, dtype=np.int64)
-
-    v, e, _ = _adaptive_1d(_chunked(column, g, c), sorted(breaks) + [tau], tol)
-    return float(v[0].real), float(e[0])
+    arrangement = g.arrangement
+    circles, eta = arrangement.circles, arrangement.eta
+    gap = np.abs(np.hypot(w.real - circles[:, 0], w.imag - circles[:, 1]) - circles[:, 2])
+    r = circles[gap <= eta, 2]
+    # The tangents at w of the curves through it, the circles' centres on their left.
+    tangents = [-1j * (circles[gap <= eta, 0] + 1j * circles[gap <= eta, 1] - w) / r]
+    others = [gap[gap > eta]]
+    for axis, cs, lo, hi in arrangement.combs:
+        a, b = (w.real, w.imag) if axis == 0 else (w.imag, w.real)
+        dl = np.hypot(cs - a, max(lo - b, b - hi, 0.0))
+        tangents.append(np.full(np.count_nonzero(dl <= eta), 1j if axis == 0 else 1.0))
+        others.append(dl[dl > eta])
+    tangents, others = np.concatenate(tangents), np.concatenate(others)
+    kappa = np.append(1.0 / r, np.zeros(tangents.size - r.size))
+    turn = tangents[:, None] * np.conj(tangents)
+    pair = np.triu(np.ones(turn.shape, dtype=bool), 1)
+    tangent = pair & (np.abs(turn.imag) <= _HORN)
+    spread = float(np.sum(np.abs(kappa[:, None] - np.sign(turn.real) * kappa)[tangent]))
+    # Two curves through w crossing at the angle b meet again at least
+    # r |sin b| away, r the least radius of the circles through w.
+    rmin = float(np.min(r, initial=np.inf))
+    cap = min(0.5 * np.min(others, initial=np.inf), g.support_radius, rmin,
+              0.5 * rmin * np.min(np.abs(turn.imag)[pair & ~tangent], initial=np.inf))
+    eps = min(cap, max(0.5 * math.pi * tol / spread if spread else math.inf,
+                       _HORN_FLOOR * float(_jumps(g)[0][-1])))
+    return eps, spread * eps / (math.pi * math.sqrt(1.0 - (0.5 * eps / rmin) ** 2))
 
 
 def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> DiagonalMass:
@@ -914,38 +931,19 @@ def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> Diagona
     The integral diverges exactly when g > 0 on a sector at w of positive
     opening: at w itself when w lies on no jump curve of g, else on one of
     the sectors that the curves through w cut out (density.sector_values).
-    Otherwise, horns of zero opening at a tangency included, it is finite
-    and accumulated over geometric annuli r_k = r_top * 2^-k.  Descent
-    stops when the remaining disc is provably free of support.
+    Otherwise it is finite, and _radial_rule sums it along the jumps of g
+    outside a disc about w: the clear disc, on which g vanishes, or, where g
+    lives on horns of zero opening at w, a disc that _horn bounds, its bound
+    added to the estimate.  An estimate above tol raises TolNotReached.
     """
     tol = _check_tol(tol)
     w = _check_point(w)
     if (sector_values(g, w) > 0.0).any():
         return DiagonalMass(True, math.inf, 0.0, 0)
-    cr = clear_radius(g, w)
-    r_top = abs(w - g.support_center) + g.support_radius
-    acc = 0.0
-    err = 0.0
-    vals: list[float] = []
-    for k in range(_MAX_OCTAVES):
-        r_hi = r_top * 2.0 ** (-k)
-        if r_hi <= cr:
-            return DiagonalMass(False, acc, err, k)
-        tol_k = max(tol / (2.0 * (k + 1) * (k + 2)), 1e-13)
-        v, e = _radial_exact(g, w, 0.5 * r_hi, r_hi, "invsq", tol_k * math.pi)
-        v /= math.pi
-        acc += v
-        err += e / math.pi
-        vals.append(v)
-        if len(vals) >= 3 and max(vals[-3:]) <= 0.125 * tol:
-            # Quiet octaves alone do not certify convergence: the support may
-            # resume deeper inside (an island separated from w by a gap), so
-            # stop only once the remaining disc is provably free of mass.
-            inner, _ = disc_mass(g, w, 0.5 * r_hi, 1e-9)
-            if inner <= 1e-12:
-                return DiagonalMass(False, acc, err, k + 1)
-    raise QuadratureError(
-        f"diagonal mass undecided after {_MAX_OCTAVES} octaves (partial sum {acc:.6g})")
+    r_lo, excised = clear_radius(g, w), 0.0
+    if r_lo == 0.0:
+        r_lo, excised = _horn(g, w, tol)
+    return DiagonalMass(False, *_radial_rule(g, w, r_lo, math.inf, np.log, tol, excised), 0)
 
 
 def radial_inverse_square_integral(g: DensitySpec, center: complex, r_lo: float,
@@ -954,14 +952,15 @@ def radial_inverse_square_integral(g: DensitySpec, center: complex, r_lo: float,
     tol = _check_tol(tol)
     if not (0.0 < r_lo < r_hi):
         raise InvalidPointError("need 0 < r_lo < r_hi")
-    v, e = _radial_exact(g, _check_point(center), r_lo, r_hi, "invsq", tol * math.pi)
-    return v / math.pi, e / math.pi
+    return _radial_rule(g, _check_point(center), r_lo, r_hi, np.log, tol)
 
 
 def disc_mass(g: DensitySpec, center: complex, radius: float,
               tol: float = 1e-9) -> tuple[float, float]:
-    """integral of g over the disc D(center, radius) by exact radial columns."""
+    """integral of g over the disc D(center, radius), by _radial_rule."""
     tol = _check_tol(tol)
     if math.isnan(radius):
         raise InvalidPointError("radius must be a finite or infinite number, got nan")
-    return _radial_exact(g, _check_point(center), 0.0, radius, "mass", tol)
+    v, e = _radial_rule(g, _check_point(center), 0.0, max(radius, 0.0), lambda s: s,
+                        tol / math.pi)
+    return math.pi * v, math.pi * e

@@ -155,6 +155,60 @@ def column_exact(g, sx, sy, ct, st, r_lo, r_hi, weight, rounding=4.0 * math.ulp(
     return total, rounding * size
 
 
+def radial_kinks(g, c, r_lo, r_hi):
+    """Sorted angles at which column_exact about c over [r_lo, r_hi] can have
+    a kink, 2 pi closing the period: rays tangent to a circle of g or of its
+    support, through a vertex of a rectangle or of the grid in the annulus,
+    or through a point where the circle |u-c| = r_lo or r_hi meets an edge."""
+    cx, cy = c.real, c.imag
+    circles = [(g.support_center.real, g.support_center.imag, g.support_radius)]
+    edges = []  # (x0, y0, x1, y1), axis-aligned
+    points = []
+    for region, _ in g.terms:
+        if isinstance(region, Disk):
+            circles.append((region.cx, region.cy, region.r))
+        elif isinstance(region, Annulus):
+            circles += [(region.cx, region.cy, r) for r in (region.r_inner, region.r_outer) if r > 0]
+        else:
+            x0, x1, y0, y1 = region.x0, region.x1, region.y0, region.y1
+            edges += [(x0, y0, x0, y1), (x1, y0, x1, y1), (x0, y0, x1, y0), (x0, y1, x1, y1)]
+    if g.grid is not None:
+        gr = g.grid
+        xs = [gr.origin_x + k * gr.spacing for k in range(gr.nx + 1)]
+        ys = [gr.origin_y + k * gr.spacing for k in range(gr.ny + 1)]
+        edges += [(x, ys[0], x, ys[-1]) for x in xs] + [(xs[0], y, xs[-1], y) for y in ys]
+        points += [(x, y) for x in xs for y in ys]
+    angles = {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi}
+    for ox, oy, r in circles:
+        d = math.hypot(ox - cx, oy - cy)
+        if d == 0.0:
+            continue
+        phi = math.atan2(oy - cy, ox - cx)
+        halves = [math.asin(r / d)] if r <= d else []
+        for rho in (r_lo, r_hi):
+            if 0.0 < rho < math.inf:
+                cos_a = (rho * rho + d * d - r * r) / (2.0 * rho * d)
+                if abs(cos_a) <= 1.0:
+                    halves.append(math.acos(cos_a))
+        angles.update(phi + s * a for a in halves for s in (1, -1))
+    for x0, y0, x1, y1 in edges:
+        points += [(x0, y0), (x1, y1)]
+        for rho in (r_lo, r_hi):
+            if not 0.0 < rho < math.inf:
+                continue
+            if x0 == x1:
+                h = rho * rho - (x0 - cx) ** 2
+                points += [(x0, cy + s * math.sqrt(h)) for s in (1, -1)
+                           if h >= 0.0 and y0 <= cy + s * math.sqrt(h) <= y1]
+            else:
+                h = rho * rho - (y0 - cy) ** 2
+                points += [(cx + s * math.sqrt(h), y0) for s in (1, -1)
+                           if h >= 0.0 and x0 <= cx + s * math.sqrt(h) <= x1]
+    angles.update(math.atan2(y - cy, x - cx) for x, y in points
+                  if r_lo <= math.hypot(x - cx, y - cy) <= r_hi)
+    return sorted(a % (2.0 * math.pi) for a in angles) + [2.0 * math.pi]
+
+
 def column_gl(g, s, ct, st, r_hi, fvec, seg_tol, extra):
     """Adaptive radial integral of fvec(r) * g along one ray from s, split at g breakpoints."""
     segs = ray_segments(g, s.real, s.imag, ct, st, 0.0, r_hi, extra)

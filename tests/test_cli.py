@@ -35,6 +35,18 @@ def test_eval_divergent_diagonal():
     assert "diagonal_case: diagonal_divergent" in r.stdout
 
 
+def test_eval_finite_diagonal_next_to_the_circle():
+    # w = lam 1e-6 outside the unit disc at tol 1e-10: E(w, w) = 1 - 1/|w|^2,
+    # with w - 1 exact
+    r = run_cli("eval", "unit-disc", "--lam", "1.000001,0", "--w", "1.000001,0",
+                "--tol", "1e-10")
+    assert r.returncode == 0
+    assert "diagonal_case: diagonal_finite" in r.stdout
+    w = 1.000001
+    want = (w - 1.0) * (w + 1.0) / w ** 2
+    assert abs(complex(r.stdout.split()[1]) - want) <= 1e-9 * want
+
+
 def test_eval_and_grid_leave_numpy_ma_unimported():
     # numpy.ma takes some 20 ms to import, and np.unique imports it on its
     # first call: that cost would land in the first evaluation of a process

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,7 +20,7 @@ from expkernel.quadrature import (InvalidPointError, TolNotReached,
                                   integrate_singular,
                                   radial_inverse_square_integral)
 from oracles import (adaptive_1d, bi_singular_oracle, column_exact, midpoint_rect,
-                     polar_patch, ray_segments)
+                     polar_patch, radial_kinks, ray_segments)
 
 UNIT = unit_disc_density()
 
@@ -140,9 +141,8 @@ def test_diagonal_scaled_density_still_divergent():
 
 
 def test_diagonal_island_after_gap_divergent():
-    # empty outer octaves must not certify convergence when the support
-    # resumes deeper inside: w sits on a tiny island far below the support
-    # radius, and the inverse-square mass there diverges
+    # w sits on a tiny island far below the support radius, with a wide
+    # empty gap around it: the inverse-square mass there diverges
     g = make_density(0j, 1.0, [(Disk(0.0, 0.0, 0.025), 1.0)])
     dm = integrate_diagonal(g, 0j, 1e-6)
     assert dm.divergent
@@ -150,7 +150,7 @@ def test_diagonal_island_after_gap_divergent():
 
 
 def test_diagonal_separated_island_value():
-    # support disjoint from w: finite, and every octave of the island counts
+    # support disjoint from w: finite, and all of the island counts
     g = make_density(0j, 1.0, [(Disk(0.4, 0.0, 0.1), 1.0)])
     dm = integrate_diagonal(g, 0j, 1e-6)
     assert not dm.divergent
@@ -166,8 +166,7 @@ def test_diagonal_separated_island_value():
 
 
 def test_diagonal_estimate_bounds_error_outside_unit_disc():
-    # the exact angular columns have kinks where a ray is tangent to the
-    # circle or meets it at an octave radius; closed form -ln(1 - 1/|w|^2)
+    # closed form -ln(1 - 1/|w|^2)
     w = 1.5 + 0.2j
     dm = integrate_diagonal(UNIT, w, 1e-5)
     assert not dm.divergent
@@ -210,8 +209,8 @@ GRID_VALUES = np.array([[0.1, 0.3, 0.2, 0.5], [0.4, 0.0, 0.6, 0.2],
 
 @pytest.mark.parametrize("c", [0.405 + 0j, 0.405 + 0.205j])
 def test_disc_mass_rectangle_edge_and_corner_estimate_bounds_error(c):
-    # a small disc across a rectangle's edge or corner: the columns have
-    # kinks where rays pass the corner or meet an edge at the disc radius
+    # a small disc across a rectangle's edge or corner: the rule breaks
+    # the edges where they meet the disc's circle
     rho = 1.0 / 64.0
     g = make_density(0j, 1.0, [(Rectangle(*RECT), 1.0)])
     mass, err = disc_mass(g, c, rho, 1e-9)
@@ -223,7 +222,7 @@ def test_disc_mass_rectangle_edge_and_corner_estimate_bounds_error(c):
 def test_disc_mass_grid_vertex_estimate_bounds_error():
     # a small disc over a grid vertex, centred on a grid line; then centred
     # on the vertex -0.2-0.2j, where it is four quarter discs and the
-    # estimate must cover the rounding of the columns (40-digit reference)
+    # estimate must cover the rounding of the nodes (40-digit reference)
     rho, c = 1.0 / 64.0, 0.005 + 0j
     g = make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES))
     mass, err = disc_mass(g, c, rho, 1e-9)
@@ -254,15 +253,15 @@ HOLE = SWISS.terms[-1][0]  # the smallest; the quadtree's budget runs out at 1e-
 ], ids=["offset_disc", "rectangle", "grid_zero_cell", "hole"])
 def test_diagonal_matches_bi_singular_where_g_vanishes(g, w):
     # where g vanishes near w, the quadtree integrates the bounded diagonal
-    # integrand: an independent route to the radial octaves
+    # integrand: an independent route to the radial rule
     dm = integrate_diagonal(g, w, 1e-6)
     assert not dm.divergent
     res = integrate_bi_singular(g, w, w, 1e-6)
     assert abs(dm.value + res.value.real) <= dm.error_estimate + res.error_estimate
 
 
-def _no_octaves(*args, **kwargs):
-    raise AssertionError("the divergence decision took the octave route")
+def _no_radial_rule(*args, **kwargs):
+    raise AssertionError("the divergence decision took the radial rule")
 
 
 _RING = annulus_density(0.1 + 0.05j, 0.35, 0.8)
@@ -288,11 +287,14 @@ _ON_CIRCLE = complex(math.cos(1.0), math.sin(1.0))
         "grid_vertex", "hole_circle", "hole_circle_axis", "annulus_inner", "annulus_inner_axis",
         "circle_beside_circle", "tiny_circle"])
 def test_diagonal_divergence_decided_exactly(g, w, monkeypatch):
-    # g > 0 on a sector at w of positive opening: no octave is summed
-    monkeypatch.setattr(quadrature, "_radial_exact", _no_octaves)
+    # g > 0 on a sector at w of positive opening: nothing is integrated
+    monkeypatch.setattr(quadrature, "_radial_rule", _no_radial_rule)
     dm = integrate_diagonal(g, w, 1e-6)
     assert dm == quadrature.DiagonalMass(True, math.inf, 0.0, 0)
     assert type(dm.value) is float and type(dm.error_estimate) is float
+
+
+HORN = make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 1.0), (Disk(-0.1, 0.0, 0.9), -1.0)])
 
 
 def test_sector_values():
@@ -303,22 +305,71 @@ def test_sector_values():
     assert sorted(sector_values(rect, complex(RECT[0], RECT[1]))) == [0.0, 1.0]
     assert sorted(sector_values(UNIT, 1j)) == [0.0, 1.0]
     assert list(sector_values(UNIT, 0.5 + 0j)) == [1.0]
-    horn = make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 1.0), (Disk(-0.1, 0.0, 0.9), -1.0)])
-    assert list(sector_values(horn, -1.0 + 0j)) == [0.0, 0.0]
+    assert list(sector_values(HORN, -1.0 + 0j)) == [0.0, 0.0]
 
 
 def test_diagonal_horn_at_tangency_is_finite():
     # g = 1 between the unit circle and the circle of radius 0.9 tangent to
     # it inside at w = -1: a horn of zero opening at w, where the integral
-    # is log(1/0.9)
-    g = make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 1.0), (Disk(-0.1, 0.0, 0.9), -1.0)])
-    dm = integrate_diagonal(g, -1.0 + 0j, 1e-6)
-    assert not dm.divergent and dm.octaves > 0
-    assert abs(dm.value - math.log(1.0 / 0.9)) <= 1e-6
+    # is log(1/0.9); the estimate covers the excised disc about w
+    for tol in (1e-4, 1e-6):
+        dm = integrate_diagonal(HORN, -1.0 + 0j, tol)
+        assert not dm.divergent and dm.octaves == 0
+        assert abs(dm.value - math.log(1.0 / 0.9)) <= dm.error_estimate <= tol
+
+
+def test_diagonal_horn_beyond_reach_raises_promptly():
+    # the excised disc cannot shrink without end: a tolerance below its
+    # bound raises, and soon
+    start = time.perf_counter()
+    with pytest.raises(TolNotReached):
+        integrate_diagonal(HORN, -1.0 + 0j, 1e-10)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_diagonal_horn_against_a_line_is_consistent():
+    # a disc inside a square, tangent to its lower edge at w: horns between
+    # a circle and a line; the values at two tolerances agree within their
+    # estimates
+    g = make_density(0j, 1.0, [(Rectangle(-0.5, -0.5, 0.5, 0.5), 1.0),
+                               (Disk(0.0, -0.25, 0.25), -1.0)])
+    a, b = (integrate_diagonal(g, -0.5j, tol) for tol in (1e-4, 1e-6))
+    assert not a.divergent and not b.divergent
+    assert a.error_estimate <= 1e-4 and b.error_estimate <= 1e-6
+    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+
+
+@pytest.mark.parametrize("k, tol", [(4, 1e-12), (6, 1e-10), (8, 1e-6), (10, 1e-6)])
+def test_diagonal_estimate_bounds_error_near_the_circle(k, tol):
+    # w = 1 + 10^-k just outside the unit disc: the value is
+    # 2 log|w| - log((|w| - 1)(|w| + 1)), and w - 1 is exact
+    w = 1.0 + 10.0 ** -k
+    dm = integrate_diagonal(UNIT, w, tol)
+    assert not dm.divergent
+    exact = 2.0 * math.log(w) - math.log((w - 1.0) * (w + 1.0))
+    assert abs(dm.value - exact) <= dm.error_estimate <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_diagonal_hole_centres_closed_form(tol):
+    # w at the centre of a hole of radius rho in the unit disc, the other
+    # holes D(c_k, r_k) outside it: log((1 - |w|^2) / rho^2)
+    # + sum log(1 - r_k^2 / |w - c_k|^2)
+    holes = [(complex(h.cx, h.cy), h.r) for h, _ in SWISS.terms[1:]]
+    for k, (w, rho) in enumerate(holes):
+        exact = math.log((1.0 - abs(w) ** 2) / rho ** 2) + sum(
+            math.log(1.0 - r * r / abs(w - c) ** 2) for j, (c, r) in enumerate(holes) if j != k)
+        dm = integrate_diagonal(SWISS, w, tol)
+        assert abs(dm.value - exact) <= dm.error_estimate <= tol
+
+
+def test_diagonal_too_near_the_circle_raises():
+    with pytest.raises(TolNotReached):
+        integrate_diagonal(UNIT, 1.0 + 1e-12, 1e-4)
 
 
 def test_divergent_diagonal_kernel_takes_no_octave(monkeypatch):
-    monkeypatch.setattr(quadrature, "_radial_exact", _no_octaves)
+    monkeypatch.setattr(quadrature, "_radial_rule", _no_radial_rule)
     assert eval_E(unit_disc_density(), 0.3, 0.3).value == 0.0
 
 
@@ -511,15 +562,15 @@ def _rays(origin, targets):
     return d.real / np.abs(d), d.imag / np.abs(d)
 
 
-@pytest.mark.parametrize("origin,r_lo,extra", [
-    (0j, 0.0, (1.0,)),  # the support circle's crossing along the axes
-    (0.1 + 0.05j, 0.0, (0.25,)),
-    (-0.3 + 0.2j, 0.05, ()),
+@pytest.mark.parametrize("origin,extra", [
+    (0j, (1.0,)),  # the support circle's crossing along the axes
+    (0.1 + 0.05j, (0.25,)),
+    (-0.3 + 0.2j, ()),
     # the third radius is 1e-15 relative from the first but not the second
-    (0.5 - 0.2j, 0.0, (0.6, 0.6 * (1 + 6e-16), 0.6 * (1 + 1.2e-15))),
-    (1.3 + 0.4j, 0.8, ()),
+    (0.5 - 0.2j, (0.6, 0.6 * (1 + 6e-16), 0.6 * (1 + 1.2e-15))),
+    (1.3 + 0.4j, ()),
 ])
-def test_ray_segments_equal_scalar_reference_bit_for_bit(origin, r_lo, extra):
+def test_ray_segments_equal_scalar_reference_bit_for_bit(origin, extra):
     sx, sy = origin.real, origin.imag
     theta = 2.0 * math.pi * np.array(Mcg64(17).uniforms(400))
     ct, st = np.cos(theta), np.sin(theta)
@@ -540,11 +591,11 @@ def test_ray_segments_equal_scalar_reference_bit_for_bit(origin, r_lo, extra):
     vx, vy = _rays(origin, [0.2 + 0.2j, RECT[2] + 1j * RECT[1]])
     ct, st = np.concatenate((ct, vx)), np.concatenate((st, vy))
     for r_hi in (2.5, 0.3 + 0.9 * np.arange(ct.size) / ct.size):
-        got = _segment_rows(*quadrature._ray_segments(MIXED, sx, sy, ct, st, r_lo, r_hi, extra),
+        got = _segment_rows(*quadrature._ray_segments(MIXED, sx, sy, ct, st, r_hi, extra),
                             ct.size)
         his = np.broadcast_to(r_hi, ct.shape)
         for k in range(ct.size):
-            want = ray_segments(MIXED, sx, sy, float(ct[k]), float(st[k]), r_lo, float(his[k]),
+            want = ray_segments(MIXED, sx, sy, float(ct[k]), float(st[k]), 0.0, float(his[k]),
                                 extra)
             assert got[k] == want, (k, ct[k], st[k])
 
@@ -574,28 +625,86 @@ def test_polar_patch_matches_scalar_reference(case):
     assert type(v) is complex and type(e) is float and type(n) is int
 
 
+def _lens(d, r1, r2):
+    """(area, size): the area of the intersection of two discs of radii r1
+    and r2 whose centres lie d apart, and the sum of its terms' moduli."""
+    if d >= r1 + r2:
+        return 0.0, 0.0
+    if d <= abs(r1 - r2):
+        return math.pi * min(r1, r2) ** 2, math.pi * min(r1, r2) ** 2
+    terms = (r1 * r1 * math.acos((d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)),
+             r2 * r2 * math.acos((d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2)),
+             -0.5 * math.sqrt((r1 + r2 - d) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)))
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def _disc_mass_closed_form(g, c, rho):
+    """(mass, rounding allowance) of g on D(c, rho) inside g's support:
+    lenses with its discs and annuli, disk_rect_area with its rectangles
+    and grid cells."""
+    mass, size = 0.0, 0.0
+    for region, coeff in g.terms:
+        if isinstance(region, Rectangle):
+            a, s = disk_rect_area(c.real, c.imag, rho, region.x0, region.x1, region.y0,
+                                  region.y1), 0.0
+        else:
+            d = abs(c - complex(region.cx, region.cy))
+            if isinstance(region, Disk):
+                a, s = _lens(d, rho, region.r)
+            else:
+                (ao, so), (ai, si) = _lens(d, rho, region.r_outer), _lens(d, rho, region.r_inner)
+                a, s = ao - ai, so + si
+        mass += coeff * a
+        size += abs(coeff) * s
+    grid = g.grid
+    if grid is not None:
+        for j in range(grid.ny):
+            for i in range(grid.nx):
+                x0, y0 = grid.origin_x + i * grid.spacing, grid.origin_y + j * grid.spacing
+                mass += grid.values[j, i] * disk_rect_area(c.real, c.imag, rho, x0,
+                                                           x0 + grid.spacing, y0,
+                                                           y0 + grid.spacing)
+    return mass, 8.0 * np.finfo(float).eps * size
+
+
 @pytest.mark.parametrize("g,c,r_lo,r_hi,weight,tol", [
     (UNIT, 1.5 + 0.2j, 0.9, 1.8, "invsq", 1e-9),
     (UNIT, 1.0 + 0j, 0.0, 1.0 / 64.0, "mass", 1e-9),
     (MIXED, 0.2 + 0.2j, 0.0, 0.3, "mass", 1e-10),
     (MIXED, 0.405 + 0.205j, 0.01, 1.5, "invsq", 1e-8),
 ])
-def test_radial_exact_matches_scalar_reference(monkeypatch, g, c, r_lo, r_hi, weight, tol):
-    # the angular breaks are the library's own; the rule and the columns are the references
-    seen = []
-
-    def spy(f, breaks, tol):
-        seen.append((list(breaks), tol))
-        return adaptive(f, breaks, tol)
-
-    adaptive = quadrature._adaptive_1d
-    monkeypatch.setattr(quadrature, "_adaptive_1d", spy)
-    v, e = quadrature._radial_exact(g, c, r_lo, r_hi, weight, tol)
-    (breaks, rule_tol), = seen
-    rv, re_, _ = adaptive_1d(lambda t: (*column_exact(g, c.real, c.imag, math.cos(t), math.sin(t),
-                                                      r_lo, r_hi, weight), 1), breaks, rule_tol)
-    assert _close(v, rv.real) and _close(e, re_)
+def test_radial_exact_matches_scalar_reference(g, c, r_lo, r_hi, weight, tol):
+    # disc_mass against its closed form; radial_inverse_square_integral
+    # against exact radial columns under the scalar angular rule, broken at
+    # the columns' kinks: agreement within the sum of the estimates
+    if weight == "mass":
+        assert r_lo == 0.0
+        v, e = disc_mass(g, c, r_hi, tol)
+        want, slack = _disc_mass_closed_form(g, c, r_hi)
+    else:
+        v, e = radial_inverse_square_integral(g, c, r_lo, r_hi, tol)
+        rv, re_, _ = adaptive_1d(lambda t: (*column_exact(g, c.real, c.imag, math.cos(t),
+                                                          math.sin(t), r_lo, r_hi, weight), 1),
+                                 radial_kinks(g, c, r_lo, r_hi), tol * math.pi)
+        want, slack = rv.real / math.pi, re_ / math.pi
+    assert abs(v - want) <= e + slack, (v, want, e, slack)
     assert type(v) is float and type(e) is float
+
+
+def test_radial_integrals_take_no_ray_crossings(monkeypatch):
+    # the radial integrals run along the jumps of g, not along rays
+    calls = []
+    for cls in (Disk, Annulus, Rectangle, GridLayer):
+        def counted(self, *args, _original=cls.ray_crossings):
+            calls.append(type(self).__name__)
+            return _original(self, *args)
+        monkeypatch.setattr(cls, "ray_crossings", counted)
+    integrate_diagonal(UNIT, 1.5)
+    disc_mass(MIXED, 0.2 + 0.2j, 0.3)
+    radial_inverse_square_integral(MIXED, 0.405 + 0.205j, 0.01, 1.5, 1e-8)
+    assert calls == []
+    cauchy_transform(UNIT, 0.5, 1e-4)  # a polar patch: the counter sees rays
+    assert calls
 
 
 def test_small_chunks_give_the_same_bits(monkeypatch):
@@ -603,9 +712,7 @@ def test_small_chunks_give_the_same_bits(monkeypatch):
     block = (s.real - 0.03, s.real + 0.05, s.imag - 0.04, s.imag + 0.02)
 
     def run():
-        return (quadrature._polar_patch(g, s, cancel, rest, mult, block, tol, (0.2,)),
-                quadrature._radial_exact(MIXED, 0.405 + 0.205j, 0.01, 1.5, "invsq", 1e-6),
-                quadrature._radial_exact(MIXED, 0.2 + 0.2j, 0.0, 0.3, "mass", 1e-8))
+        return quadrature._polar_patch(g, s, cancel, rest, mult, block, tol, (0.2,))
 
     want = run()
     monkeypatch.setattr(quadrature, "_CHUNK", 100)
