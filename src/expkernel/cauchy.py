@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .density import DensitySpec, clear_radius
-from .kernel import eval_E, eval_E_off_diagonal, eval_E_unit_disc
+from .kernel import eval_E, eval_E_disc, eval_E_off_diagonal
 from .quadrature import (boundary_cauchy_transform, boundary_log_kernel, cauchy_transform,
                          disc_mass, integrate_diagonal, integrate_singular)
 
@@ -236,28 +236,6 @@ def check_h0_binomial(ctx: H0Context, n: int, lam: complex,
 # Representation of E through its own Cauchy data
 
 
-def _unit_disc_kernel_section(w: complex):
-    """Vectorized u -> E_D(u, w) for the unit-disc density."""
-    w = complex(w)
-    w_in = abs(w) < 1.0
-
-    def section(pts):
-        pts = np.asarray(pts, dtype=complex)
-        inside = np.abs(pts) < 1.0
-        if w_in:
-            near = np.abs(pts - w) ** 2 / (1.0 - np.conj(w) * pts)
-            safe = np.where(inside, 1.0 + 0.0j, pts)
-            far = (pts - w) / safe
-        else:
-            near = np.conj((w - pts) / w)
-            den = np.conj(w) * pts
-            safe = np.where(inside, 1.0 + 0.0j, den)
-            far = 1.0 - 1.0 / np.where(safe == 0.0, 1.0 + 0.0j, safe)
-        return np.where(inside, near, far)
-
-    return section
-
-
 def _kernel_section(g: DensitySpec, w: complex, tol: float):
     """Vectorized u -> E_g(u, w) (u != w); closed when g is one disc of
     value 1 (a single circle row of jump 1), the boundary rule over all the
@@ -265,14 +243,7 @@ def _kernel_section(g: DensitySpec, w: complex, tol: float):
     circles, lattices = g.curves
     if not lattices and len(circles) == 1 and circles[0, 3] == 1.0:
         cx, cy, r, _ = circles[0].tolist()
-        c = complex(cx, cy)
-        base = _unit_disc_kernel_section((complex(w) - c) / r)
-
-        def closed(pts):
-            pts = np.asarray(pts, dtype=complex)
-            return base((pts - c) / r)
-
-        return closed
+        return lambda pts: eval_E_disc(complex(cx, cy), r, pts, w)
 
     return lambda pts: eval_E_off_diagonal(g, pts, complex(w), tol)[0]
 

@@ -11,8 +11,9 @@ cell), and DensitySpec.curves is the one table of them: every module that
 needs g's jumps reads it rather than the region kinds.  g is constant on
 each face of the arrangement of those curves, so a spec is validated
 exactly by evaluating g at one point of every face: every admissible spec
-satisfies 0 <= g <= 1 off the curves, and the same arrangement tells which
-values g takes around any point.
+satisfies 0 <= g <= 1 off the curves.  What g looks like at a point w, the
+values it takes around w, the disc about w on which it vanishes and the
+curves tangent at w, is read from the same table in one pass (around).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (INSIDE, STRADDLE, Annulus, Disk, Rectangle, Region, _circle_crossings,
-                       _line_crossings)
+from .geometry import (_CHUNK, _PARALLEL, INSIDE, STRADDLE, Annulus, Disk, Rectangle, Region,
+                       _circle_crossings, _line_crossings)
 
 _MASK64 = (1 << 64) - 1
 
@@ -215,37 +216,17 @@ def eval_density(g: DensitySpec, u) -> float | np.ndarray:
     return float(val) if scalar else val
 
 
-def clear_radius(g: DensitySpec, w: complex) -> float:
-    """Radius of a disc around w on which g is certainly identically zero.
-
-    Takes the distance from w to the nearest jump curve of g (and to the
-    support disc when w lies outside it); g is constant on that disc, and
-    if its value is zero the disc is clear.  Returns 0.0 when no such disc
-    is known.
-    """
-    d_support = math.hypot(w.real - g.support_center.real, w.imag - g.support_center.imag)
-    r = d_support - g.support_radius if d_support > g.support_radius else math.inf
-    r = min(r, float(g.arrangement.distances(w).min(initial=math.inf)))
-    if not math.isfinite(r) or r <= 0.0:
-        return 0.0
-    if eval_density(g, w) != 0.0:
-        return 0.0
-    return r
-
-
 # A point lies on a curve when its distance to it is within _ON_CURVE_ULPS
 # ulps of the density's scale |support_center| + support_radius, which bounds
 # the rounding of the curves' coordinates and of a membership test.
 _ON_CURVE_ULPS = 16
-# Rays per pass of face_samples' crossings, times the circles (memory bound).
-_CHUNK = 1 << 16
 # Offsets from a point's place in a comb's sorted lines to its four nearest.
 _AROUND = np.arange(-2, 2)
-# A ray this close to parallel to a line never crosses it (_line_crossings).
-_PARALLEL = 1e-14
-# A sector at w no wider than min(4 eta / r, _HORN), r the least radius of
-# the circles through w, is a horn of zero opening: the rounding of w turns
-# the tangents of circles tangent at w by about eta / r.
+# Two curves through w whose tangents there differ by at most _HORN (a sine)
+# are tangent at w, and a sector at w no wider than min(4 eta / r, _HORN),
+# r the least radius of the circles through w, is a horn of zero opening:
+# the rounding of w turns the tangents of circles tangent at w by about
+# eta / r.
 _HORN = 1e-6
 
 
@@ -268,20 +249,6 @@ class JumpArrangement:
         """Rows (c, lo, hi) of every segment of the combs on one axis."""
         return np.array([(c, lo, hi) for a, cs, lo, hi in self.combs if a == axis
                          for c in cs], dtype=float).reshape(-1, 3)
-
-    def distances(self, z) -> np.ndarray:
-        """(points, circles + combs) distances from the points z to each
-        circle and to the nearest segment of each comb."""
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        x, y = z.real, z.imag
-        c = self.circles
-        cols = [np.abs(np.hypot(x[:, None] - c[:, 0], y[:, None] - c[:, 1]) - c[:, 2])]
-        for axis, cs, lo, hi in self.combs:
-            a, b = (x, y) if axis == 0 else (y, x)
-            near = cs[np.clip(np.searchsorted(cs, a)[:, None] + _AROUND, 0, cs.size - 1)]
-            across = np.abs(a[:, None] - near).min(axis=1)
-            cols.append(np.hypot(across, np.maximum(np.maximum(lo - b, b - hi), 0.0))[:, None])
-        return np.concatenate(cols, axis=1)
 
     def _cuts(self, v: np.ndarray, h: np.ndarray, tol: float):
         """(curve, parameter) of the points where each curve meets another,
@@ -404,82 +371,119 @@ class JumpArrangement:
         keep = t > reach
         return p[keep] + 0.5 * np.minimum(t[keep], self.scale) * n[keep]
 
-    def sector_directions(self, w: complex, support: tuple) -> np.ndarray | None:
-        """Bisectors of the sectors of positive opening that the curves
-        through w cut out at w, the support circle (cx, cy, r) among them;
-        None when w lies on no curve.
 
-        A circle within eta of w leaves it both ways along its tangent, a
-        segment within eta across, and within eta of its extent along, each
-        way it goes on past w.
-        """
-        eta, x, y = self.eta, w.real, w.imag
-        c = np.vstack((self.circles, support))
-        c = c[np.abs(np.hypot(x - c[:, 0], y - c[:, 1]) - c[:, 2]) <= eta]
-        phi = np.arctan2(y - c[:, 1], x - c[:, 0])
-        rays = [phi + 0.5 * math.pi, phi - 0.5 * math.pi]
-        for axis, cs, lo, hi in self.combs:
-            a, b = (x, y) if axis == 0 else (y, x)
-            near = cs[np.clip(np.searchsorted(cs, a) + _AROUND, 0, cs.size - 1)]
-            if lo - eta <= b <= hi + eta and np.abs(a - near).min() <= eta:
-                ahead, behind = (0.5, 1.5) if axis == 0 else (0.0, 1.0)
-                rays.append([ahead * math.pi] if b < hi - eta else [])
-                rays.append([behind * math.pi] if b > lo + eta else [])
-        a = np.sort(np.concatenate(rays) % (2.0 * math.pi))
-        if a.size == 0:
-            return None
-        opening = np.diff(a, append=a[0] + 2.0 * math.pi)
-        horn = min(4.0 * eta / np.min(c[:, 2], initial=np.inf), _HORN)
-        return (a + 0.5 * opening)[opening > horn]
+def around(g: DensitySpec, w: complex):
+    """What g looks like at w, read in one pass over DensitySpec.curves and
+    the support circle: the tuple (values, clear, horn).  A curve within
+    eta of w (_ON_CURVE_ULPS) passes through w.
 
+    values: g(w) when no curve passes through w, else g just off w inside
+    each sector of positive opening that the curves through w cut out.  A
+    circle through w leaves it both ways along its tangent, a line of a
+    lattice each way it goes on past w.  A point just off w lies inside a
+    circle, or in a cell of a lattice, as w does, or, across a curve
+    through w, as its direction leads.  The jumps and cell values are
+    summed exactly, so where they cancel the value is exactly 0.
 
-def _towards(g: DensitySpec, w: complex, theta: np.ndarray, eta: float) -> np.ndarray:
-    """g just off w in the directions theta, every jump curve within eta of
-    w taken to pass through w: a point lies inside a circle, or past a line
-    of a lattice, as at w, or, where the curve passes through w, as the
-    direction leads.  The jumps and cell values of DensitySpec.curves are
-    summed exactly, so where they cancel the value is exactly 0."""
+    clear: the distance from w to the nearest curve, and to the support
+    circle when w lies outside it, where g(w) = 0: g vanishes on the disc
+    of that radius about w.  0.0 when no such disc is known.
+
+    horn: (spread, rmin, cap) of the curves through w but the support
+    circle, each counted once.  spread sums |k - k'| over the pairs tangent
+    at w, k the curvatures signed to one side (0 on a line); rmin is the
+    least radius of the circles among them (inf: none); cap is the least of
+    half the distance to any other curve, the support radius, rmin and
+    rmin |sin b| / 2 over the pairs crossing at the angle b, which meet
+    again at least rmin |sin b| away.
+    """
     x, y = w.real, w.imag
-    ct, st = np.cos(theta), np.sin(theta)
-
-    def inside(cx, cy, r):
-        d = float(np.hypot(x - cx, y - cy))
-        if abs(r - d) > eta:
-            return np.full(theta.shape, r > d)
-        return (((x - cx) * ct + (y - cy) * st) / d if d > 0.0 else np.ones(theta.shape)) < 0.0
-
+    center, support = g.support_center, g.support_radius
+    eta = _ON_CURVE_ULPS * math.ulp(abs(center) + support)
     circles, lattices = g.curves
-    parts = [np.where(inside(cx, cy, r), jump, 0.0) for cx, cy, r, jump in circles.tolist()]
-    for xs, ys, values in lattices:
-        cells = []
-        for a, lines, rate in ((x, xs, ct), (y, ys, st)):
-            k = int(np.argmin(np.abs(lines - a)))
-            cells.append(np.where(rate > 0.0, k, k - 1) if abs(a - lines[k]) <= eta
-                         else np.full(theta.shape, np.searchsorted(lines, a, "right") - 1))
-        ix, iy = cells
-        ny, nx = values.shape
-        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-        parts.append(np.where(ok, values[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)], 0.0))
-    val = np.array([math.fsum(p) for p in np.reshape(parts, (-1, theta.size)).T])
-    center = g.support_center
-    return np.where(inside(center.real, center.imag, g.support_radius), val, 0.0)
+    c = np.vstack((circles, (center.real, center.imag, support, 0.0)))  # the support last
+    dx, dy = x - c[:, 0], y - c[:, 1]
+    d = np.hypot(dx, dy)
+    gap = np.abs(d - c[:, 2])
+    on = gap <= eta
+    phi = np.arctan2(dy[on], dx[on])
+    rays = [phi + 0.5 * math.pi, phi - 0.5 * math.pi]
+    # every curve's distance from w and whether it passes through w, the
+    # support circle left out; the circles through w once each
+    dist, hit = [gap[:-1]], [on[:-1]]
+    through = np.array(sorted(set(map(tuple, circles[on[:-1], :3].tolist()))),
+                       dtype=float).reshape(-1, 3)
+    lines_through, sides = set(), []
+    for xs, ys, _ in lattices:
+        for axis, lines, a, b, ends in ((0, xs, x, y, ys), (1, ys, y, x, xs)):
+            lo, hi = ends[0], ends[-1]
+            dist.append(np.hypot(lines - a, max(lo - b, b - hi, 0.0)))
+            hit.append(dist[-1] <= eta)
+            if hit[-1].any():
+                k = int(np.argmin(dist[-1]))
+                sides.append((k, k - 1))
+                lines_through.add(axis)
+                ahead, behind = (0.5, 1.5) if axis == 0 else (0.0, 1.0)
+                rays += [[ahead * math.pi] if b < hi - eta else [],
+                         [behind * math.pi] if b > lo + eta else []]
+            else:
+                sides.append((np.searchsorted(lines, a, "right") - 1,) * 2)
+    dist, hit = np.concatenate(dist), np.concatenate(hit)
+
+    a = np.sort(np.concatenate(rays) % (2.0 * math.pi))
+    if a.size:
+        opening = np.diff(a, append=a[0] + 2.0 * math.pi)
+        theta = (a + 0.5 * opening)[opening > min(4.0 * eta / np.min(c[on, 2], initial=np.inf),
+                                                  _HORN)]
+        ct, st = np.cos(theta), np.sin(theta)
+        inside = np.where(on[:, None], dx[:, None] * ct + dy[:, None] * st < 0.0,
+                          (c[:, 2] > d)[:, None])
+        parts = [np.where(inside[:-1], c[:-1, 3:], 0.0)]
+        for (_, _, v), (kx, ky) in zip(lattices, zip(sides[0::2], sides[1::2])):
+            ix, iy = np.where(ct > 0.0, *kx), np.where(st > 0.0, *ky)
+            ny, nx = v.shape
+            ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+            parts.append(np.where(ok, v[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)], 0.0)[None])
+        values = np.where(inside[-1], [math.fsum(p) for p in np.concatenate(parts).T], 0.0)
+    else:
+        values = np.array([eval_density(g, w)])
+
+    d_support = math.hypot(x - center.real, y - center.imag)  # nearer 1/2 ulp than np.hypot
+    clear = min(d_support - support if d_support > support else math.inf,
+                float(np.min(dist, initial=math.inf)))
+    if not (0.0 < clear < math.inf and (eval_density(g, w) if a.size else values[0]) == 0.0):
+        clear = 0.0
+
+    tangents = np.concatenate((-1j * (through[:, 0] + 1j * through[:, 1] - w) / through[:, 2],
+                               [(1j, 1.0)[axis] for axis in sorted(lines_through)]))
+    kappa = np.append(1.0 / through[:, 2], np.zeros(len(lines_through)))
+    turn = tangents[:, None] * np.conj(tangents)
+    pair = np.arange(tangents.size)[:, None] < np.arange(tangents.size)
+    tangent = pair & (np.abs(turn.imag) <= _HORN)
+    spread = float(np.sum(np.abs(kappa[:, None] - np.sign(turn.real) * kappa)[tangent]))
+    rmin = float(np.min(through[:, 2], initial=np.inf))
+    cap = min(0.5 * np.min(dist[~hit], initial=np.inf), support, rmin,
+              0.5 * rmin * np.min(np.abs(turn.imag)[pair & ~tangent], initial=np.inf))
+    return values, clear, (spread, rmin, cap)
 
 
 def sector_values(g: DensitySpec, w: complex) -> np.ndarray:
-    """The values g takes around w: g(w) when w lies on no jump curve of g,
-    else its value just off w inside each sector of positive opening that
-    the curves through w cut out (JumpArrangement.sector_directions).
+    """The values g takes around w (around): g(w) when w lies on no jump
+    curve of g, else its value just off w inside each sector of positive
+    opening that the curves through w cut out.
 
     The diagonal integral of g |u-w|^-2 diverges exactly when one of them
     is positive; horns of zero opening, as between circles tangent at w,
     carry no such value.
     """
-    arrangement = g.arrangement
-    support = (g.support_center.real, g.support_center.imag, g.support_radius)
-    theta = arrangement.sector_directions(w, support)
-    if theta is None:
-        return np.array([eval_density(g, w)])
-    return _towards(g, w, theta, arrangement.eta)
+    return around(g, w)[0]
+
+
+def clear_radius(g: DensitySpec, w: complex) -> float:
+    """Radius of a disc around w on which g is certainly identically zero
+    (around): the distance to the nearest jump curve of g when g(w) = 0;
+    0.0 when no such disc is known."""
+    return around(g, w)[1]
 
 
 def jump_arrangement(g: DensitySpec) -> JumpArrangement:

@@ -28,6 +28,11 @@ import numpy as np
 INSIDE = 1
 OUTSIDE = -1
 STRADDLE = 0
+# A ray this close to parallel to a line never crosses it.
+_PARALLEL = 1e-14
+# Elements of one array pass of a crossing search or a rule's first pass,
+# rays or lams times columns: a memory bound.
+_CHUNK = 1 << 16
 
 
 def _sqrt_prim(cx, r, x):
@@ -102,9 +107,9 @@ def _circle_crossings(cx: float, cy: float, r: float, sx: float, sy: float, ct, 
 def _line_crossings(s: float, targets, direction):
     """(..., len(targets)) radii t > 0 at which rays from coordinate s with
     direction component ``direction`` reach the coordinates ``targets``; nan
-    for a ray behind a line or nearly parallel to it (|direction| < 1e-14)."""
+    for a ray behind a line or nearly parallel to it (|direction| < _PARALLEL)."""
     d = np.asarray(direction, dtype=float)[..., None]
-    ok = np.abs(d) >= 1e-14
+    ok = np.abs(d) >= _PARALLEL
     t = (np.asarray(targets, dtype=float) - s) / np.where(ok, d, 1.0)
     return np.where(ok & (t > 0.0), t, np.nan)
 

@@ -159,38 +159,49 @@ def eval_E_off_diagonal(g: DensitySpec, lams, w: complex, tol: float = 1e-6):
     return value, np.abs(value) * np.expm1(err)
 
 
-def eval_E_unit_disc(lam: complex, w: complex) -> complex:
-    """Exact kernel of the unit-disc characteristic function.
+def _pole_free(den, message: str, *args):
+    """den, unless it vanishes somewhere: then PoleCaseError(message.format(*args))."""
+    if np.any(den == 0.0):
+        raise PoleCaseError(message.format(*args))
+    return den
+
+
+def eval_E_unit_disc(lam, w: complex):
+    """Exact kernel of the unit-disc characteristic function at a complex
+    lam, or at every lam of an array (an array of values).
 
     Circle points use the outside formulas; the diagonal comes out right by
     itself (0 inside, 1 - 1/|w|^2 on and outside the circle).  A vanishing
     denominator is reported as PoleCaseError rather than returned as inf.
     """
-    lam = complex(lam)
     w = complex(w)
-    lam_in = abs(lam) < 1.0
-    w_in = abs(w) < 1.0
-    if lam_in and w_in:
-        den = 1.0 - w.conjugate() * lam
-        if den == 0.0:
-            raise PoleCaseError(f"1 - conj(w) lam = 0 at lam={lam}, w={w}")
-        return abs(lam - w) ** 2 / den
-    if lam_in:
-        if w == 0.0:
-            raise PoleCaseError("w = 0 in the exterior-w case")
-        return ((w - lam) / w).conjugate()
-    if w_in:
-        if lam == 0.0:
-            raise PoleCaseError("lam = 0 in the exterior-lam case")
-        return (lam - w) / lam
-    den = w.conjugate() * lam
-    if den == 0.0:
-        raise PoleCaseError(f"conj(w) lam = 0 at lam={lam}, w={w}")
-    return 1.0 - 1.0 / den
+    if abs(w) < 1.0:
+        def inside(z):
+            den = _pole_free(1.0 - w.conjugate() * z, "1 - conj(w) lam = 0 at lam={}, w={}", z, w)
+            return abs(z - w) ** 2 / den
+
+        def outside(z):
+            return (z - w) / _pole_free(z, "lam = 0 in the exterior-lam case")
+    else:
+        def inside(z):
+            return ((w - z) / _pole_free(w, "w = 0 in the exterior-w case")).conjugate()
+
+        def outside(z):
+            return 1.0 - 1.0 / _pole_free(w.conjugate() * z, "conj(w) lam = 0 at lam={}, w={}",
+                                          z, w)
+    if np.ndim(lam) == 0:
+        lam = complex(lam)
+        return inside(lam) if abs(lam) < 1.0 else outside(lam)
+    lam = np.asarray(lam, dtype=complex)
+    near = np.abs(lam) < 1.0
+    value = np.empty(lam.shape, dtype=complex)
+    value[near], value[~near] = inside(lam[near]), outside(lam[~near])
+    return value
 
 
-def eval_E_disc(center: complex, radius: float, lam: complex, w: complex) -> complex:
-    """Kernel of a disc characteristic function, by covariance of the exponent.
+def eval_E_disc(center: complex, radius: float, lam, w: complex):
+    """Kernel of a disc characteristic function at a complex lam or at every
+    lam of an array, by covariance of the exponent.
 
     The defining integral is invariant under u -> a u + b applied to all of
     g, lam, w at once, so a general disc reduces to the unit disc.
@@ -198,8 +209,8 @@ def eval_E_disc(center: complex, radius: float, lam: complex, w: complex) -> com
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     center = complex(center)
-    return eval_E_unit_disc((complex(lam) - center) / radius,
-                            (complex(w) - center) / radius)
+    lam = complex(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=complex)
+    return eval_E_unit_disc((lam - center) / radius, (complex(w) - center) / radius)
 
 
 def eval_E_signed_discs(g: DensitySpec, lam: complex, w: complex) -> complex:

@@ -37,8 +37,9 @@ bounded multiplier and g is a DensitySpec.  Strategy:
 * cell contributions are accumulated in a fixed order, so results are
   bit-identical for identical inputs on one numpy build and CPU.
 
-Whether the diagonal integral diverges is read exactly from the faces of the
-jump arrangement of g around w.  A finite diagonal, the disc mass and the
+Whether the diagonal integral diverges is read exactly from what g looks
+like at w (density.around): the values g takes in the sectors that the
+curves through w cut out.  A finite diagonal, the disc mass and the
 inverse-square integral over an annulus run along the jumps of g too, as
 the boundary rule at their centre with a clamped radial potential.
 
@@ -59,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .density import _HORN, DensitySpec, clear_radius, eval_density, sector_values
-from .geometry import INSIDE, OUTSIDE, STRADDLE, Disk
+from .density import DensitySpec, around, clear_radius, eval_density
+from .geometry import _CHUNK, INSIDE, OUTSIDE, STRADDLE, Disk
 
 __all__ = [
     "QuadratureResult", "DiagonalMass", "InvalidPointError", "ToleranceError",
@@ -118,7 +119,7 @@ class DiagonalMass:
     """Outcome of the diagonal mass integral (1/pi) * integral g(u) |u-w|^-2 da.
 
     ``divergent`` follows the dichotomy: True when g > 0 on a sector at w of
-    positive opening, decided exactly from the jump arrangement of g; then
+    positive opening, decided exactly from the jumps of g at w; then
     ``value`` is inf and ``error_estimate`` is 0.  False when the integral
     is finite: ``value`` is its sum along the jumps of g, with its error
     estimate.  ``octaves`` is always 0: no geometric annuli are summed.
@@ -152,8 +153,6 @@ _ROUNDING = 4.0 * math.ulp(1.0)
 # Bisection depth limits of the adaptive 1-D rule and of a radial column.
 _MAX_DEPTH_1D = 24
 _MAX_DEPTH_GL = 10
-# Rays times crossing columns per pass of a column function (memory bound).
-_CHUNK = 1 << 16
 # The boundary rule breaks a curve at a point's nearest point when the
 # point lies within this fraction of the curve's length of it.
 _NEAR = 0.125
@@ -825,10 +824,11 @@ def boundary_cauchy_transform(g: DensitySpec, lams, tol: float):
         np.conj(u)[:, None] - np.conj(lam), (2.0 * np.abs(u))[:, None] + np.abs(lam)))
 
 
-def _radial_rule(g: DensitySpec, c: complex, r_lo: float, r_hi: float, F,
+def _radial_rule(jumps, c: complex, r_lo: float, r_hi: float, F,
                  tol: float, excised: float = 0.0) -> tuple[float, float]:
     """(value, error estimate) of (1/pi) * integral g(u) F'(|u-c|^2) da(u)
-    over r_lo <= |u-c| <= r_hi, by the boundary rule at lam = c with
+    over r_lo <= |u-c| <= r_hi, g's jumps the table _jumps(g), by the
+    boundary rule at lam = c with
     N(u) = F(clip(|u-c|^2, r_lo^2, r_hi^2)) - F(r_lo^2): dN/dconj(u) / (u-c)
     is F'(|u-c|^2) on the annulus and 0 off it, and N / (u-c) is continuous
     at c, so no residue is left.  u - c is taken from each curve's point p
@@ -836,7 +836,7 @@ def _radial_rule(g: DensitySpec, c: complex, r_lo: float, r_hi: float, F,
     kinks of N.  ``excised`` bounds a part left out: it joins the estimate,
     and the rule aims no finer than it.  An estimate above tol, or nan,
     raises TolNotReached."""
-    start, length, jump, origin, radius, direction = jumps = _jumps(g)
+    start, length, jump, origin, radius, direction = jumps
     if not length.size:
         return 0.0, 0.0
     circle = radius > 0.0
@@ -887,63 +887,44 @@ def _radial_rule(g: DensitySpec, c: complex, r_lo: float, r_hi: float, F,
     return v, e
 
 
-def _horn(g: DensitySpec, w: complex, tol: float) -> tuple[float, float]:
+def _horn(spread: float, rmin: float, cap: float, tol: float,
+          length: float) -> tuple[float, float]:
     """(eps, bound) where g lives next to w only on horns between curves
-    tangent there: bound bounds (1/pi) * the integral of g |u-w|^-2 over
-    |u-w| < eps.  At distance rho from w a circle of radius r through w lies
-    asin(rho / 2r) off its tangent, a line 0, so as 0 <= g <= 1 two tangent
-    curves of curvatures k, k' (signed to one side) add |k - k'| eps / (pi
-    cos) to it, cos = sqrt(1 - (eps / 2r)^2) for the least r.  eps brings
-    the bound near tol / 2, but stays above _HORN_FLOOR of the jumps' length
-    and within half the distance to any curve or crossing off w.
+    tangent there, (spread, rmin, cap) the horn of density.around and
+    length the total length of g's jumps: bound bounds (1/pi) * the
+    integral of g |u-w|^-2 over |u-w| < eps.  At distance rho from w a
+    circle of radius r through w lies asin(rho / 2r) off its tangent, a line
+    0, so as 0 <= g <= 1 two tangent curves of curvatures k, k' add
+    |k - k'| eps / (pi cos) to it, cos = sqrt(1 - (eps / 2r)^2) for the
+    least r, rmin.  eps brings the bound near tol / 2, but stays above
+    _HORN_FLOOR of length and within cap.
     """
-    arrangement = g.arrangement
-    circles, eta = arrangement.circles, arrangement.eta
-    gap = np.abs(np.hypot(w.real - circles[:, 0], w.imag - circles[:, 1]) - circles[:, 2])
-    r = circles[gap <= eta, 2]
-    # The tangents at w of the curves through it, the circles' centres on their left.
-    tangents = [-1j * (circles[gap <= eta, 0] + 1j * circles[gap <= eta, 1] - w) / r]
-    others = [gap[gap > eta]]
-    for axis, cs, lo, hi in arrangement.combs:
-        a, b = (w.real, w.imag) if axis == 0 else (w.imag, w.real)
-        dl = np.hypot(cs - a, max(lo - b, b - hi, 0.0))
-        tangents.append(np.full(np.count_nonzero(dl <= eta), 1j if axis == 0 else 1.0))
-        others.append(dl[dl > eta])
-    tangents, others = np.concatenate(tangents), np.concatenate(others)
-    kappa = np.append(1.0 / r, np.zeros(tangents.size - r.size))
-    turn = tangents[:, None] * np.conj(tangents)
-    pair = np.triu(np.ones(turn.shape, dtype=bool), 1)
-    tangent = pair & (np.abs(turn.imag) <= _HORN)
-    spread = float(np.sum(np.abs(kappa[:, None] - np.sign(turn.real) * kappa)[tangent]))
-    # Two curves through w crossing at the angle b meet again at least
-    # r |sin b| away, r the least radius of the circles through w.
-    rmin = float(np.min(r, initial=np.inf))
-    cap = min(0.5 * np.min(others, initial=np.inf), g.support_radius, rmin,
-              0.5 * rmin * np.min(np.abs(turn.imag)[pair & ~tangent], initial=np.inf))
     eps = min(cap, max(0.5 * math.pi * tol / spread if spread else math.inf,
-                       _HORN_FLOOR * float(_jumps(g)[0][-1])))
+                       _HORN_FLOOR * length))
     return eps, spread * eps / (math.pi * math.sqrt(1.0 - (0.5 * eps / rmin) ** 2))
 
 
 def integrate_diagonal(g: DensitySpec, w: complex, tol: float = 1e-6) -> DiagonalMass:
     """Diagonal mass (1/pi) * integral g(u) |u-w|^-2 da(u) with divergence detection.
 
-    The integral diverges exactly when g > 0 on a sector at w of positive
-    opening: at w itself when w lies on no jump curve of g, else on one of
-    the sectors that the curves through w cut out (density.sector_values).
-    Otherwise it is finite, and _radial_rule sums it along the jumps of g
-    outside a disc about w: the clear disc, on which g vanishes, or, where g
-    lives on horns of zero opening at w, a disc that _horn bounds, its bound
-    added to the estimate.  An estimate above tol raises TolNotReached.
+    What g looks like at w is read once (density.around).  The integral
+    diverges exactly when g > 0 on a sector at w of positive opening: at w
+    itself when w lies on no jump curve of g, else on one of the sectors
+    that the curves through w cut out.  Otherwise it is finite, and
+    _radial_rule sums it along the jumps of g outside a disc about w: the
+    clear disc, on which g vanishes, or, where g lives on horns of zero
+    opening at w, a disc that _horn bounds, its bound added to the
+    estimate.  An estimate above tol raises TolNotReached.
     """
     tol = _check_tol(tol)
     w = _check_point(w)
-    if (sector_values(g, w) > 0.0).any():
+    values, r_lo, horn = around(g, w)
+    if (values > 0.0).any():
         return DiagonalMass(True, math.inf, 0.0, 0)
-    r_lo, excised = clear_radius(g, w), 0.0
+    jumps, excised = _jumps(g), 0.0
     if r_lo == 0.0:
-        r_lo, excised = _horn(g, w, tol)
-    return DiagonalMass(False, *_radial_rule(g, w, r_lo, math.inf, np.log, tol, excised), 0)
+        r_lo, excised = _horn(*horn, tol, float(jumps[0][-1]))
+    return DiagonalMass(False, *_radial_rule(jumps, w, r_lo, math.inf, np.log, tol, excised), 0)
 
 
 def radial_inverse_square_integral(g: DensitySpec, center: complex, r_lo: float,
@@ -952,7 +933,7 @@ def radial_inverse_square_integral(g: DensitySpec, center: complex, r_lo: float,
     tol = _check_tol(tol)
     if not (0.0 < r_lo < r_hi):
         raise InvalidPointError("need 0 < r_lo < r_hi")
-    return _radial_rule(g, _check_point(center), r_lo, r_hi, np.log, tol)
+    return _radial_rule(_jumps(g), _check_point(center), r_lo, r_hi, np.log, tol)
 
 
 def disc_mass(g: DensitySpec, center: complex, radius: float,
@@ -961,6 +942,6 @@ def disc_mass(g: DensitySpec, center: complex, radius: float,
     tol = _check_tol(tol)
     if math.isnan(radius):
         raise InvalidPointError("radius must be a finite or infinite number, got nan")
-    v, e = _radial_rule(g, _check_point(center), 0.0, max(radius, 0.0), lambda s: s,
+    v, e = _radial_rule(_jumps(g), _check_point(center), 0.0, max(radius, 0.0), lambda s: s,
                         tol / math.pi)
     return math.pi * v, math.pi * e

@@ -49,10 +49,12 @@ def test_eval_finite_diagonal_next_to_the_circle():
 
 def test_eval_and_grid_leave_numpy_ma_unimported():
     # numpy.ma takes some 20 ms to import, and np.unique imports it on its
-    # first call: that cost would land in the first evaluation of a process
+    # first call: that cost would land in the first evaluation of a process,
+    # off the diagonal or on it
     code = ("import sys\n"
             "from expkernel.cli import main\n"
             "main(['eval', 'unit-disc', '--lam', '0.5,0', '--w', '0,0'])\n"
+            "main(['eval', 'unit-disc', '--lam', '1,0', '--w', '1,0'])\n"
             "main(['grid', 'swiss-cheese', '--w', '0.1,0.2', '--bounds', '-1.2,1.2,-1.2,1.2',"
             " '--n', '3'])\n"
             "print('numpy.ma' in sys.modules)")

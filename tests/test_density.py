@@ -277,8 +277,15 @@ def test_sector_values_are_the_values_on_a_small_ring(terms, grid, data):
     w = _on_a_curve(g, data)
     arrangement = g.arrangement
     eta, rho = arrangement.eta, 1e-7
-    # every curve passes through w or keeps well clear of the ring
-    near = np.append(arrangement.distances(w)[0], abs(abs(w) - 1.0))
+    # every curve passes through w or keeps well clear of the ring: the
+    # distances to each circle, to the nearest segment of each comb and to
+    # the support circle
+    c = arrangement.circles
+    near = [np.abs(np.hypot(w.real - c[:, 0], w.imag - c[:, 1]) - c[:, 2]), [abs(abs(w) - 1.0)]]
+    for axis, cs, lo, hi in arrangement.combs:
+        a, b = (w.real, w.imag) if axis == 0 else (w.imag, w.real)
+        near.append([np.hypot(np.abs(cs - a).min(), max(lo - b, b - hi, 0.0))])
+    near = np.concatenate(near)
     assume(np.all((near <= eta) | (near >= 1e-4)))
     # no horn and no sector narrower than a few ring steps: the tangents at
     # w of distinct curves through it differ by at least 0.01 (mod pi), and
@@ -323,6 +330,19 @@ def test_clear_radius():
     hole = make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 1.0),
                                   (Disk(0.0, 0.0, 0.25), -1.0)])
     np.testing.assert_allclose(clear_radius(hole, 0j), 0.25)
+
+
+def test_clear_radius_on_lattices():
+    # the nearest line of a lattice, and past a segment's end the gap beyond
+    # it: beside a rectangle's edge, beyond its corner (the corner is
+    # nearest), and inside a zero cell of a grid
+    rect = make_density(0j, 1.0, [(Rectangle(-0.5, -0.25, 0.5, 0.25), 1.0)])
+    assert math.isclose(clear_radius(rect, 0.7 + 0.1j), 0.2, rel_tol=1e-12)
+    assert math.isclose(clear_radius(rect, 0.56 + 0.33j), 0.1, rel_tol=1e-12)
+    values = np.full((4, 4), 0.5)
+    values[1, 2] = 0.0  # the cell [0, 0.2] x [-0.2, 0]
+    grid = make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, values))
+    assert math.isclose(clear_radius(grid, 0.05 - 0.12j), 0.05, rel_tol=1e-12)
 
 
 def test_swiss_cheese_reproducible_and_valid():

@@ -103,6 +103,20 @@ def test_eval_E_disc_covariance():
         eval_E_disc(0j, 0.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("w", [0.3 - 0.2j, 0j, 1.0 + 0j, -1.5 + 0.4j])
+def test_disc_closed_forms_take_arrays_of_lam(w):
+    # an array of lam, inside, on and outside the circle, gives the scalar
+    # values to the rounding of numpy's complex division
+    lam = np.array([[0.5, -0.2 + 0.7j, 1j], [1.0, 2.0 - 1.0j, -3.0j]])
+    want = np.array([[eval_E_unit_disc(z, w) for z in row] for row in lam])
+    assert type(eval_E_unit_disc(lam[0, 0], w)) is complex
+    got = eval_E_unit_disc(lam, w)
+    assert got.shape == lam.shape
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    c, r = 0.7 - 0.2j, 1.6
+    np.testing.assert_allclose(eval_E_disc(c, r, c + r * lam, c + r * w), want, rtol=1e-13)
+
+
 def test_eval_E_signed_discs_single_disc():
     g = make_density(0j, 1.0, [(Disk(0.0, 0.0, 1.0), 1.0)])
     lam, w = 0.5 + 0j, 2.0 + 0j

@@ -318,6 +318,17 @@ def test_diagonal_horn_at_tangency_is_finite():
         assert abs(dm.value - math.log(1.0 / 0.9)) <= dm.error_estimate <= tol
 
 
+def test_diagonal_horn_crossed_by_a_circle():
+    # a circle of coefficient 0 crosses the horn at w = -1 at right angles:
+    # g and the value log(1/0.9) are unchanged, and the crossing caps the
+    # excised radius
+    g = make_density(0j, 2.0, [*HORN.terms, (Disk(-1.0, -0.5, 0.5), 0.0)])
+    for tol in (1e-4, 1e-6):
+        dm = integrate_diagonal(g, -1.0 + 0j, tol)
+        assert not dm.divergent
+        assert abs(dm.value - math.log(1.0 / 0.9)) <= dm.error_estimate <= tol
+
+
 def test_diagonal_horn_beyond_reach_raises_promptly():
     # the excised disc cannot shrink without end: a tolerance below its
     # bound raises, and soon

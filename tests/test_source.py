@@ -36,3 +36,14 @@ def test_only_density_decides_the_curves_of_g():
     assert hits == []
     assert not re.search(r"^from \.geometry import|^import .*geometry",
                          (root / "cauchy.py").read_text(), re.M)
+
+
+def test_quadrature_reads_no_private_part_of_density():
+    # what g looks like at w comes from density's public readers: quadrature
+    # imports no underscore name from density and never reads the jump
+    # arrangement, which validation alone uses
+    source = (Path(expkernel.__file__).parent / "quadrature.py").read_text()
+    imports = re.findall(r"^from \.density import (\([^)]*\)|.*)$", source, re.M)
+    names = [n.strip(" ()\n") for line in imports for n in line.split(",")]
+    assert imports and not [n for n in names if n.startswith("_")]
+    assert ".arrangement" not in source
