@@ -149,6 +149,14 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+# main dispatches on the subcommand's name through this table rather than a
+# function stored in the parser, which is built once per process and would
+# keep the functions that were bound when it was built.
+COMMANDS = {"eval": cmd_eval, "grid": cmd_grid, "verify": cmd_verify,
+            "estimate": cmd_estimate}
+_parser = None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="expkernel",
@@ -169,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--lam", type=_parse_complex, required=True)
     sp.add_argument("--w", type=_parse_complex, required=True)
-    sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("grid", help="export an n-by-n CSV of E(., w)")
     common(sp)
@@ -178,19 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="X0,X1,Y0,Y1")
     sp.add_argument("--n", type=int, required=True, help="nodes per side (>= 2)")
     sp.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    sp.set_defaults(func=cmd_grid)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
     sp.add_argument("--tol", type=float,
                     help="quadrature tolerance (default: each suite's own tolerances)")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("estimate", help="pointwise density / decay estimators")
     common(sp)
     sp.add_argument("--w", type=_parse_complex, required=True)
     sp.add_argument("--mode", choices=("gamma", "lipschitz"), required=True)
-    sp.set_defaults(func=cmd_estimate)
     return p
 
 
@@ -214,11 +218,16 @@ def _absorb_dash_values(argv, names=("--bounds", "--lam", "--w")):
 
 
 def main(argv=None) -> int:
+    """Run one command line; may be called many times in one process, which
+    builds its parser on the first call."""
+    global _parser
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_absorb_dash_values(list(argv)))
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(_absorb_dash_values(list(argv)))
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except (DensityConfigError, PlacementError, FileNotFoundError,
             IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -271,8 +271,10 @@ class JumpArrangement:
             curve += [i, i]
             param += [base + half, base - half]
             # a circle and a segment at offset off from its centre meet at
-            # half chords s
+            # half chords s; no circle or no segment leaves nothing to meet
             for k, seg, off, along in ((0, v, v[:, 0] - cx, cy), (1, h, h[:, 0] - cy, cx)):
+                if not off.size:
+                    continue
                 touch = np.abs(np.abs(off) - r) <= tol
                 s = np.where(touch, 0.0, np.sqrt(r * r - off * off))
                 for sign in (1.0, -1.0):
@@ -287,11 +289,14 @@ class JumpArrangement:
         param = np.concatenate(param)
         param[circle] %= 2.0 * math.pi
         # vertical and horizontal segments
-        j, k = np.nonzero((h[:, 1] - tol <= v[:, :1]) & (v[:, :1] <= h[:, 2] + tol)
-                          & (v[:, 1:2] - tol <= h[:, 0]) & (h[:, 0] <= v[:, 2:] + tol))
+        if nv and len(h):
+            j, k = np.nonzero((h[:, 1] - tol <= v[:, :1]) & (v[:, :1] <= h[:, 2] + tol)
+                              & (v[:, 1:2] - tol <= h[:, 0]) & (h[:, 0] <= v[:, 2:] + tol))
+            curve += [nc + j, nc + nv + k]
+            param = np.concatenate((param, h[k, 0], v[j, 0]))
         ends = np.repeat(np.arange(nc + nv + len(h)), 2)
-        curve = np.concatenate(curve + [nc + j, nc + nv + k, ends])
-        param = np.concatenate((param, h[k, 0], v[j, 0], np.tile((0.0, 2.0 * math.pi), nc),
+        curve = np.concatenate(curve + [ends])
+        param = np.concatenate((param, np.tile((0.0, 2.0 * math.pi), nc),
                                 v[:, 1:].ravel(), h[:, 1:].ravel()))
         lo = np.concatenate((np.zeros(nc), v[:, 1], h[:, 1]))
         hi = np.concatenate((np.full(nc, 2.0 * math.pi), v[:, 2], h[:, 2]))

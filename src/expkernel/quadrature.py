@@ -772,7 +772,8 @@ def _boundary_rule(g: DensitySpec, lams, tol: float, points, potential):
         lam = lams[lo:lo + step]
 
         def f(x):
-            k = np.searchsorted(start, x, side="right") - 1
+            # a node can round onto the end of the last curve
+            k = np.minimum(np.searchsorted(start, x, side="right") - 1, length.size - 1)
             t = x - start[k]
             c = radius[k] > 0.0
             e = np.exp(1j * t / np.where(c, radius[k], np.inf))
@@ -862,7 +863,8 @@ def _radial_rule(jumps, c: complex, r_lo: float, r_hi: float, F,
     f_lo = F(r_lo * r_lo)
 
     def f(x):
-        k = np.searchsorted(start, x, side="right") - 1
+        # a node can round onto the end of the last curve
+        k = np.minimum(np.searchsorted(start, x, side="right") - 1, length.size - 1)
         s = x - start[k]
         on = circle[k]
         r = np.where(on, radius[k], np.inf)

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from expkernel.cli import build_parser, cmd_verify
+from expkernel import cli
+from expkernel.cli import COMMANDS, build_parser, cmd_verify
 from expkernel.suites import SUITES, suite_properties
 
 
@@ -63,6 +64,70 @@ def test_eval_and_grid_leave_numpy_ma_unimported():
     assert r.stdout.splitlines()[-1] == "False"
 
 
+def test_one_process_runs_many_calls_as_fresh_ones(monkeypatch, capsys):
+    # main builds its parser on the first call and keeps it: every later call
+    # must still behave as it does in a fresh interpreter, a usage error too
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    sequence = [
+        ["eval", "unit-disc", "--lam", "0.5,0", "--w", "0,0", "--tol", "1e-4"],
+        ["eval", "unit-disc", "--lam", "spam", "--w", "0,0"],
+        ["grid", "swiss-cheese", "--w", "0.1,0.2", "--bounds", "-1.2,1.2,-1.2,1.2",
+         "--n", "3", "--out", "-"],
+        ["verify", "shift"],
+        ["eval", "swiss-cheese", "--seed", "2", "--lam", "-0.3,0.1", "--w", "0.2,-0.4",
+         "--tol", "1e-5"],
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects its arguments this way
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0, 0]
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1),"
+            " init(self, *a, **k))[1]\n"
+            "import expkernel.cli\n"
+            "print(len(built), expkernel.cli._parser)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "None"]
+
+
+def test_eval_diagonal_with_a_node_on_the_end_of_the_last_curve(tmp_path):
+    # a Gauss node of the radial rule rounds onto the end of the last curve
+    # of g's jumps, and once named a curve past the table (IndexError)
+    path = tmp_path / "ring_and_rectangle.json"
+    path.write_text(json.dumps({"support_center": [0, 0], "support_radius": 1, "terms": [
+        {"shape": {"kind": "annulus", "center": [0, 0], "r_inner": 0.25, "r_outer": 0.5},
+         "coeff": 0.0},
+        {"shape": {"kind": "rectangle",
+                   "corner_min": [-0.0074156945879640945, 0.12129215270601795],
+                   "corner_max": [0.37870784729398205, 0.5074156945879641]},
+         "coeff": 0.5}]}))
+    w = "-0.010395790089745735,0.8408020520388497"
+    r = run_cli("eval", str(path), "--lam", w, "--w", w)
+    assert r.returncode == 0, r.stderr
+    assert "diagonal_case: diagonal_finite" in r.stdout
+
+
 def test_grid_zero_density_is_identically_one(tmp_path):
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps(
@@ -111,7 +176,7 @@ def test_verify_shift_suite_passes():
 def test_verify_properties_parses():
     # parse only: the properties suite itself runs for minutes
     args = build_parser().parse_args(["verify", "properties"])
-    assert args.func is cmd_verify
+    assert COMMANDS[args.command] is cmd_verify
     assert SUITES[args.suite] is suite_properties
 
 

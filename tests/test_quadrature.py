@@ -250,7 +250,11 @@ HOLE = SWISS.terms[-1][0]  # the smallest; the quadtree's budget runs out at 1e-
     (make_density(0j, 1.0, [(Rectangle(*RECT), 1.0)]), 0.7 - 0.5j),
     (make_density(0j, 1.0, [], GridLayer(-0.4, -0.4, 0.2, GRID_VALUES)), -0.1 - 0.1j),
     (SWISS, complex(HOLE.cx, HOLE.cy)),
-], ids=["offset_disc", "rectangle", "grid_zero_cell", "hole"])
+    # a Gauss node of the radial rule rounds onto the end of the last curve
+    (make_density(0j, 1, [(Annulus(0, 0, 0.25, 0.5), 0.0), (Rectangle(
+        -0.0074156945879640945, 0.12129215270601795, 0.37870784729398205,
+        0.5074156945879641), 0.5)]), -0.010395790089745735 + 0.8408020520388497j),
+], ids=["offset_disc", "rectangle", "grid_zero_cell", "hole", "node_on_last_end"])
 def test_diagonal_matches_bi_singular_where_g_vanishes(g, w):
     # where g vanishes near w, the quadtree integrates the bounded diagonal
     # integrand: an independent route to the radial rule

@@ -29,3 +29,22 @@ def test_traced_eval_counts_geometry_and_quadrature(capsys):
     assert tracer.leaves["geometry.cell_area"][0] > 0
     assert tracer.counts["quadrature.evals"] > 0
     assert "value:" in capsys.readouterr().out
+
+
+def test_tracer_installed_after_the_first_call_sees_the_commands(monkeypatch, capsys):
+    # the first main call builds the parser before the tracer is installed;
+    # a traced call must still reach the wrapped command
+    argv = ["eval", "unit-disc", "--lam", "0.5,0", "--w", "0,0", "--tol", "1e-4"]
+    monkeypatch.setattr(expkernel.cli, "_parser", None)
+    assert expkernel.cli.main(argv) == 0
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert expkernel.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()
+    assert spans["cli.main"]["calls"] == 1
+    assert spans["cli.cmd_eval"]["calls"] == 1
+    assert spans["kernel.eval_E"]["calls"] == 1
+    capsys.readouterr()
